@@ -28,6 +28,10 @@
 #      docs/DISTRIBUTED.md must match the `gks.coord.*` literals in src/
 #      and tools/, both directions.
 #  12. Relative markdown links in docs/DISTRIBUTED.md must resolve.
+#  13. No test under tests/ builds a path from bare ::testing::TempDir():
+#      ctest -j runs test binaries (and their _scalar twins, which run the
+#      same tests) concurrently, so every file a test writes must live in
+#      the per-process gks::testing::UniqueTempDir() of tests/test_util.h.
 #
 # Usage: check_docs.sh [repo-root]   (defaults to the script's parent)
 
@@ -283,6 +287,14 @@ while IFS= read -r link; do
   fi
 done < <(grep -oE '\]\([^)]+\)' "$distributed_doc" | sed 's/^](//; s/)$//' \
          | grep -vE '^(https?:|#)' | sort -u)
+
+# 13. test temp paths: only the UniqueTempDir helper may call TempDir()
+while IFS= read -r hit; do
+  echo "check_docs: ${hit#"$root/"} builds a path from the shared" \
+       "::testing::TempDir(); use gks::testing::UniqueTempDir()" >&2
+  fail=1
+done < <(grep -rnF 'testing::TempDir()' "$root/tests" \
+         | grep -v "^$root/tests/test_util.h:" || true)
 
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED — update the docs or the source" >&2

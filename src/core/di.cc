@@ -1,7 +1,7 @@
 #include "core/di.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
 
 #include "text/analyzer.h"
 
@@ -20,6 +20,53 @@ bool LowestEntityComponents(const XmlIndex& index, DeweySpan id,
     }
   }
   return false;
+}
+
+// The DI occurrence filter (see DiAccumulator::Add): calls `fn(i)` with
+// the attribute-directory position of each occurrence `node` contributes,
+// in directory order.
+template <typename Fn>
+void ForEachDiOccurrence(const XmlIndex& index, const GksNode& node,
+                         const Query& query, const DiOptions& options,
+                         Fn&& fn) {
+  if (!node.is_lce || node.rank <= 0.0) return;
+  DeweySpan entity = DeweySpan::Of(node.id);
+  auto [begin, end] = index.attributes.SubtreeRange(entity);
+  end = std::min(end, begin + options.max_attrs_per_node);
+  std::vector<uint32_t> owner;
+  for (size_t i = begin; i < end; ++i) {
+    // The value belongs to this LCE only if no deeper entity owns it.
+    if (!LowestEntityComponents(index, index.attributes.IdAt(i), &owner)) {
+      continue;
+    }
+    if (owner.size() != entity.size ||
+        !std::equal(owner.begin(), owner.end(), entity.data)) {
+      continue;
+    }
+    // Exclude values that repeat a query keyword (Sec. 6.2).
+    const std::string& value = index.nodes.Value(index.attributes.ValueAt(i));
+    bool contains_query_term = false;
+    for (const std::string& term : text::Analyze(value)) {
+      if (query.ContainsTerm(term)) {
+        contains_query_term = true;
+        break;
+      }
+    }
+    if (!contains_query_term) fn(i);
+  }
+}
+
+// Tag names from `node` down to the attribute at directory position `i`.
+std::vector<std::string> DiPath(const XmlIndex& index, const GksNode& node,
+                                size_t i) {
+  DeweySpan attr_id = index.attributes.IdAt(i);
+  std::vector<std::string> path;
+  for (uint32_t len = DeweySpan::Of(node.id).size; len <= attr_id.size;
+       ++len) {
+    const NodeInfo* info = index.nodes.Find(DeweySpan{attr_id.data, len});
+    path.push_back(info != nullptr ? index.nodes.TagName(info->tag_id) : "?");
+  }
+  return path;
 }
 
 }  // namespace
@@ -44,75 +91,84 @@ std::string DiKeyword::ToString() const {
   return out;
 }
 
-std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
-                                  const std::vector<GksNode>& nodes,
-                                  const Query& query,
-                                  const DiOptions& options) {
-  // Keyed by (attribute tag, value id): the same value under different tags
-  // carries different semantics ("2001" as a year vs as a street number).
-  std::map<std::pair<uint32_t, uint32_t>, DiKeyword> accumulated;
+size_t DiAccumulator::KeyHash::operator()(const Key& key) const {
+  std::hash<std::string_view> hash;
+  return hash(key.first) * 31 + hash(key.second);
+}
 
-  for (const GksNode& node : nodes) {
-    if (!node.is_lce || node.rank <= 0.0) continue;
-    DeweySpan entity = DeweySpan::Of(node.id);
-    auto [begin, end] = index.attributes.SubtreeRange(entity);
-    end = std::min(end, begin + options.max_attrs_per_node);
-    for (size_t i = begin; i < end; ++i) {
-      DeweySpan attr_id = index.attributes.IdAt(i);
-      // The value belongs to this LCE only if no deeper entity owns it.
-      std::vector<uint32_t> owner;
-      if (!LowestEntityComponents(index, attr_id, &owner)) continue;
-      if (owner.size() != entity.size ||
-          !std::equal(owner.begin(), owner.end(), entity.data)) {
-        continue;
-      }
-
-      uint32_t value_id = index.attributes.ValueAt(i);
-      const std::string& value = index.nodes.Value(value_id);
-      // Exclude values that repeat a query keyword (Sec. 6.2).
-      bool contains_query_term = false;
-      for (const std::string& term : text::Analyze(value)) {
-        if (query.ContainsTerm(term)) {
-          contains_query_term = true;
-          break;
-        }
-      }
-      if (contains_query_term) continue;
-
-      auto key = std::make_pair(index.attributes.TagAt(i), value_id);
-      DiKeyword& di = accumulated[key];
-      if (di.support == 0) {
-        di.value = value;
-        for (uint32_t len = entity.size; len <= attr_id.size; ++len) {
-          const NodeInfo* info =
-              index.nodes.Find(DeweySpan{attr_id.data, len});
-          di.path.push_back(info != nullptr
-                                ? index.nodes.TagName(info->tag_id)
-                                : "?");
-        }
-      }
-      di.weight += node.rank;
-      ++di.support;
+void DiAccumulator::Add(const XmlIndex& index, const GksNode& node,
+                        const Query& query, const DiOptions& options) {
+  ForEachDiOccurrence(index, node, query, options, [&](size_t i) {
+    const std::string& value = index.nodes.Value(index.attributes.ValueAt(i));
+    DiKeyword& di =
+        keywords_[{index.nodes.TagName(index.attributes.TagAt(i)), value}];
+    if (di.support == 0) {
+      di.value = value;
+      di.path = DiPath(index, node, i);
     }
-  }
+    di.weight += node.rank;
+    ++di.support;
+  });
+}
 
-  std::vector<DiKeyword> out;
-  out.reserve(accumulated.size());
-  for (auto& [key, di] : accumulated) {
-    (void)key;
-    out.push_back(std::move(di));
+void DiAccumulator::Add(const std::vector<DiContribution>& contributions,
+                        double rank) {
+  for (const DiContribution& contribution : contributions) {
+    DiKeyword& di = keywords_[{contribution.tag, contribution.value}];
+    if (di.support == 0) {
+      di.value = contribution.value;
+      di.path = contribution.path;
+    }
+    di.weight += rank;
+    ++di.support;
   }
-  // The path leg totalizes the order: distinct (tag, value) keys with the
-  // same weight and value string still differ in the attribute tag — the
-  // path's last element. Without it, ties would surface in accumulation-
-  // map order, which differs between this numeric-keyed walk and the
-  // string-keyed cross-segment/cross-shard replays (core/shard_merge.cc).
+}
+
+std::vector<DiKeyword> DiAccumulator::Finish(size_t top_m) {
+  std::vector<DiKeyword> out;
+  out.reserve(keywords_.size());
+  for (auto& [key, di] : keywords_) out.push_back(std::move(di));
   std::sort(out.begin(), out.end(), [](const DiKeyword& a, const DiKeyword& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.value != b.value) return a.value < b.value;
     return a.path < b.path;
   });
-  if (out.size() > options.top_m) out.resize(options.top_m);
+  if (out.size() > top_m) out.resize(top_m);
+  return out;
+}
+
+std::vector<DiKeyword> DiscoverDi(const XmlIndex& index,
+                                  const std::vector<GksNode>& nodes,
+                                  const Query& query,
+                                  const DiOptions& options) {
+  DiAccumulator accumulator;
+  for (const GksNode& node : nodes) {
+    accumulator.Add(index, node, query, options);
+  }
+  return accumulator.Finish(options.top_m);
+}
+
+std::vector<DiContribution> NodeDiContributions(const XmlIndex& index,
+                                                const GksNode& node,
+                                                const Query& query,
+                                                const DiOptions& options) {
+  std::vector<DiContribution> out;
+  ForEachDiOccurrence(index, node, query, options, [&](size_t i) {
+    out.push_back({index.nodes.TagName(index.attributes.TagAt(i)),
+                   index.nodes.Value(index.attributes.ValueAt(i)),
+                   DiPath(index, node, i)});
+  });
+  return out;
+}
+
+std::vector<std::vector<DiContribution>> ComputeDiContributions(
+    const XmlIndex& index, const std::vector<GksNode>& nodes,
+    const Query& query, const DiOptions& options) {
+  std::vector<std::vector<DiContribution>> out;
+  out.reserve(nodes.size());
+  for (const GksNode& node : nodes) {
+    out.push_back(NodeDiContributions(index, node, query, options));
+  }
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/mmap_file.h"
 #include "common/timer.h"
+#include "index/wal.h"
 #include "xml/sax_parser.h"
 
 namespace gks {
@@ -351,7 +352,7 @@ Result<XmlIndex> DeserializeIndex(std::string_view bytes) {
 
 Status SaveIndex(const XmlIndex& index, const std::string& path,
                  IndexFormat format) {
-  return xml::WriteStringToFile(path, SerializeIndex(index, format));
+  return WriteFileAtomic(path, SerializeIndex(index, format));
 }
 
 Result<XmlIndex> LoadIndex(const std::string& path) {

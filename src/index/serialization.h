@@ -45,7 +45,9 @@ enum class IndexFormat {
   kV2NoRankBounds = 3,
 };
 
-/// Writers default to the current format.
+/// Writers default to the current format. SaveIndex replaces `path`
+/// atomically (WriteFileAtomic), so an index mapped from the old file by
+/// LoadIndexMapped keeps serving the old bytes.
 Status SaveIndex(const XmlIndex& index, const std::string& path,
                  IndexFormat format = IndexFormat::kV2);
 std::string SerializeIndex(const XmlIndex& index,

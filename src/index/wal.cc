@@ -271,4 +271,32 @@ Status SyncDirOf(const std::string& path) {
   return Status::OK();
 }
 
+Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  std::string tmp = path + ".tmp";
+  int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  if (fd < 0) {
+    return Status::IOError("create '" + tmp + "': " + std::strerror(errno));
+  }
+  std::string_view remaining = bytes;
+  while (!remaining.empty()) {
+    ssize_t n = ::write(fd, remaining.data(), remaining.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Status::IOError("write '" + tmp + "': " + std::strerror(errno));
+    }
+    remaining.remove_prefix(static_cast<size_t>(n));
+  }
+  bool sync_failed = ::fsync(fd) != 0;
+  ::close(fd);
+  if (sync_failed) {
+    return Status::IOError("fsync '" + tmp + "': " + std::strerror(errno));
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IOError("rename '" + tmp + "' -> '" + path + "': " +
+                           std::strerror(errno));
+  }
+  return SyncDirOf(path);
+}
+
 }  // namespace gks

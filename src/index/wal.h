@@ -117,6 +117,13 @@ Result<WalReplay> ReplayWal(const std::string& path);
 /// that do not support directory fsync).
 Status SyncDirOf(const std::string& path);
 
+/// Replaces `path` with `bytes` atomically: write a sibling `.tmp`, fsync
+/// it, rename it over `path`, fsync the directory. Readers see the old or
+/// the new file, never a torn one, and a process that has the old file
+/// mapped keeps reading the old bytes (the rename unlinks, it does not
+/// truncate).
+Status WriteFileAtomic(const std::string& path, std::string_view bytes);
+
 }  // namespace gks
 
 #endif  // GKS_INDEX_WAL_H_

@@ -360,6 +360,19 @@ std::string GksServer::RunQuery(
     return coordinator_->Execute(request, budget);
   }
   ScopedSpan span("server.search");
+  // A real-time segment set and a single index answer through this one
+  // body; they differ only in the searcher and in how a node resolves to
+  // its document (and so to its index, names and describe text).
+  std::shared_ptr<const SegmentSetSnapshot> segments;
+  std::shared_ptr<const XmlIndex> index;
+  uint64_t epoch = 0;
+  if (index_state_.rt()) {
+    segments = index_state_.rt_snapshot();
+    epoch = segments->epoch;
+  } else {
+    index = index_state_.snapshot();
+    epoch = index->epoch;
+  }
   // Shard partials qualify for the wire-level cache: the coordinator's
   // downstream line is canonical and carries no `id`, so the raw line
   // plus the serving epoch keys the exact serialized bytes. Requests
@@ -368,55 +381,8 @@ std::string GksServer::RunQuery(
   const bool wire_cacheable = wire_cache_ != nullptr && request.shard &&
                               !request.has_id && !request.explain;
   std::string wire_key;
-  if (index_state_.rt()) {
-    std::shared_ptr<const SegmentSetSnapshot> snapshot =
-        index_state_.rt_snapshot();
-    if (wire_cacheable) {
-      wire_key = WireResponseCache::MakeKey(line, snapshot->epoch);
-      std::string cached;
-      if (wire_cache_->Get(wire_key, &cached)) {
-        shard_cache_hits_->Increment();
-        return cached;
-      }
-      shard_cache_misses_->Increment();
-    }
-    SegmentSearcher searcher(snapshot);
-    searcher.set_cache(cache_.get());
-    // Degrades to the inline walk here (this thread IS a pool worker);
-    // embedders driving SegmentSearcher from their own threads get the
-    // parallel per-segment fan-out (docs/PERFORMANCE.md).
-    searcher.set_pool(pool_.get());
-    WallTimer timer;
-    Result<SearchResponse> response =
-        searcher.Search(request.query, request.options);
-    if (!response.ok()) {
-      errors_total_->Increment();
-      return WireResponseBuilder::Error(&request, wire_error::kSearchFailed,
-                                        response.status().ToString());
-    }
-    span.AddItems(response->nodes.size());
-    QueryWireExtras extras;
-    std::vector<std::vector<DiContribution>> contributions;
-    if (request.shard) {
-      extras.shard_mode = true;
-      if (request.want_di_contrib) {
-        Result<Query> query = Query::Parse(request.query);
-        if (query.ok()) {
-          contributions = ComputeDiContributions(*snapshot, response->nodes,
-                                                 *query, DiOptions{});
-          extras.contributions = &contributions;
-        }
-      }
-    }
-    std::string result = WireResponseBuilder::Query(
-        request, *response, *snapshot, snapshot->epoch,
-        timer.ElapsedMillis(), extras);
-    if (wire_cacheable) wire_cache_->Put(wire_key, result);
-    return result;
-  }
-  std::shared_ptr<const XmlIndex> snapshot = index_state_.snapshot();
   if (wire_cacheable) {
-    wire_key = WireResponseCache::MakeKey(line, snapshot->epoch);
+    wire_key = WireResponseCache::MakeKey(line, epoch);
     std::string cached;
     if (wire_cache_->Get(wire_key, &cached)) {
       shard_cache_hits_->Increment();
@@ -424,11 +390,21 @@ std::string GksServer::RunQuery(
     }
     shard_cache_misses_->Increment();
   }
-  GksSearcher searcher(snapshot.get());
-  searcher.set_cache(cache_.get());
   WallTimer timer;
-  Result<SearchResponse> response =
-      searcher.Search(request.query, request.options);
+  Result<SearchResponse> response = [&]() -> Result<SearchResponse> {
+    if (segments != nullptr) {
+      SegmentSearcher searcher(segments);
+      searcher.set_cache(cache_.get());
+      // Degrades to the inline walk here (this thread IS a pool worker);
+      // embedders driving SegmentSearcher from their own threads get the
+      // parallel per-segment fan-out (docs/PERFORMANCE.md).
+      searcher.set_pool(pool_.get());
+      return searcher.Search(request.query, request.options);
+    }
+    GksSearcher searcher(index.get());
+    searcher.set_cache(cache_.get());
+    return searcher.Search(request.query, request.options);
+  }();
   if (!response.ok()) {
     errors_total_->Increment();
     return WireResponseBuilder::Error(&request, wire_error::kSearchFailed,
@@ -445,16 +421,27 @@ std::string GksServer::RunQuery(
     if (request.want_di_contrib) {
       Result<Query> query = Query::Parse(request.query);
       if (query.ok()) {
-        contributions = ComputeDiContributions(*snapshot, response->nodes,
-                                               *query, DiOptions{});
+        for (const GksNode& node : response->nodes) {
+          const XmlIndex* owner = index.get();
+          if (segments != nullptr) {
+            const SegmentView* view = segments->SegmentFor(node.id.doc_id());
+            owner = view != nullptr ? view->index.get() : nullptr;
+          }
+          contributions.push_back(
+              owner != nullptr
+                  ? NodeDiContributions(*owner, node, *query, DiOptions{})
+                  : std::vector<DiContribution>{});
+        }
         extras.contributions = &contributions;
       }
     }
   }
-  std::string result = WireResponseBuilder::Query(request, *response,
-                                                  *snapshot, snapshot->epoch,
-                                                  timer.ElapsedMillis(),
-                                                  extras);
+  std::string result =
+      segments != nullptr
+          ? WireResponseBuilder::Query(request, *response, *segments, epoch,
+                                       timer.ElapsedMillis(), extras)
+          : WireResponseBuilder::Query(request, *response, *index, epoch,
+                                       timer.ElapsedMillis(), extras);
   if (wire_cacheable) wire_cache_->Put(wire_key, result);
   return result;
 }

@@ -18,11 +18,12 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   std::condition_variable cv;
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
+    // Count under the lock: the waiter can then only see the final count
+    // after the last task is done with `mu` and `cv`, which die with this
+    // scope while the pool's workers are still alive.
     pool.Submit([&] {
-      if (count.fetch_add(1) + 1 == kTasks) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (count.fetch_add(1) + 1 == kTasks) cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);

@@ -26,7 +26,7 @@ namespace fs = std::filesystem;
 
 /// A fresh (empty) RT home directory for this test.
 std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "gks_rt_" + name;
+  std::string dir = gks::testing::UniqueTempDir() + "gks_rt_" + name;
   std::error_code ec;
   fs::remove_all(dir, ec);
   return dir;
@@ -315,7 +315,7 @@ TEST(RtIndexTest, BaseIndexServesAlongsideRtDocuments) {
       {"base0.xml", BookXml("ground")},
       {"base1.xml", BookXml("floor")},
   });
-  std::string base_path = ::testing::TempDir() + "gks_rt_base.gksidx";
+  std::string base_path = gks::testing::UniqueTempDir() + "gks_rt_base.gksidx";
   ASSERT_TRUE(SaveIndex(base, base_path).ok());
 
   RtOptions options = TestOptions(FreshDir("base"));

@@ -53,7 +53,7 @@ TEST(SerializationTest, LoadedIndexAnswersQueriesIdentically) {
 
 TEST(SerializationTest, FileRoundTrip) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
-  std::string path = ::testing::TempDir() + "/gks_index_test.idx";
+  std::string path = gks::testing::UniqueTempDir() + "gks_index_test.idx";
   ASSERT_TRUE(SaveIndex(original, path).ok());
   Result<XmlIndex> loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok());
@@ -117,15 +117,15 @@ TEST(SerializationTest, V2SmallerThanV1OnRepetitiveCorpus) {
 // observationally identical: same search results, same ranks.
 TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml(), "uni.xml");
-  std::string dir = ::testing::TempDir();
+  std::string dir = gks::testing::UniqueTempDir();
   ASSERT_TRUE(
-      SaveIndex(original, dir + "/cross_v1.idx", IndexFormat::kV1).ok());
+      SaveIndex(original, dir + "cross_v1.idx", IndexFormat::kV1).ok());
   ASSERT_TRUE(
-      SaveIndex(original, dir + "/cross_v2.idx", IndexFormat::kV2).ok());
+      SaveIndex(original, dir + "cross_v2.idx", IndexFormat::kV2).ok());
 
-  Result<XmlIndex> v1 = LoadIndex(dir + "/cross_v1.idx");
-  Result<XmlIndex> v2 = LoadIndex(dir + "/cross_v2.idx");
-  Result<XmlIndex> v2_mapped = LoadIndexMapped(dir + "/cross_v2.idx");
+  Result<XmlIndex> v1 = LoadIndex(dir + "cross_v1.idx");
+  Result<XmlIndex> v2 = LoadIndex(dir + "cross_v2.idx");
+  Result<XmlIndex> v2_mapped = LoadIndexMapped(dir + "cross_v2.idx");
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   ASSERT_TRUE(v2_mapped.ok()) << v2_mapped.status().ToString();
@@ -148,7 +148,7 @@ TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
 
 TEST(SerializationTest, MappedLoadFallsBackOnV1Files) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
-  std::string path = ::testing::TempDir() + "/mmap_v1.idx";
+  std::string path = gks::testing::UniqueTempDir() + "mmap_v1.idx";
   ASSERT_TRUE(SaveIndex(original, path, IndexFormat::kV1).ok());
   Result<XmlIndex> loaded = LoadIndexMapped(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -159,7 +159,7 @@ TEST(SerializationTest, MappedIndexOutlivesTheLoadCall) {
   // The mapping must stay alive through the index's shared_ptr anchors,
   // including after the index itself is moved.
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string path = ::testing::TempDir() + "/mmap_alive.idx";
+  std::string path = gks::testing::UniqueTempDir() + "mmap_alive.idx";
   ASSERT_TRUE(SaveIndex(original, path).ok());
   Result<XmlIndex> loaded = LoadIndexMapped(path);
   ASSERT_TRUE(loaded.ok());
@@ -168,12 +168,41 @@ TEST(SerializationTest, MappedIndexOutlivesTheLoadCall) {
   EXPECT_EQ(moved.inverted.posting_count(), original.inverted.posting_count());
 }
 
+// Regression: SaveIndex over a path that a live index has mapped used to
+// truncate and rewrite the file in place, so the reader's first touch of
+// a lazy section died with SIGBUS. Replacing the file atomically leaves
+// the mapped inode intact.
+TEST(SerializationTest, SaveOverAMappedFileKeepsServingTheOldBytes) {
+  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
+  std::string path = gks::testing::UniqueTempDir() + "mmap_rewrite.idx";
+  ASSERT_TRUE(SaveIndex(original, path).ok());
+  Result<XmlIndex> mapped = LoadIndexMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  XmlIndex other = BuildIndexFromXml("<r><t>kayak</t></r>");
+  ASSERT_TRUE(SaveIndex(other, path).ok());
+
+  for (const char* query : {"karen", "data mining", "karen mining"}) {
+    SearchResponse want = SearchOrDie(original, query);
+    SearchResponse got = SearchOrDie(*mapped, query);
+    EXPECT_EQ(gks::testing::NodeIds(got), gks::testing::NodeIds(want))
+        << query;
+    ASSERT_EQ(got.insights.size(), want.insights.size()) << query;
+    for (size_t i = 0; i < want.insights.size(); ++i) {
+      EXPECT_EQ(got.insights[i].value, want.insights[i].value) << query;
+    }
+  }
+  Result<XmlIndex> reloaded = LoadIndex(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_NE(reloaded->inverted.Find("kayak"), nullptr);
+}
+
 // Regression: every load draws a fresh epoch from the global sequence, so
 // result-cache entries keyed against one incarnation of an index file can
 // never be served for a reloaded incarnation (whose content may differ).
 TEST(SerializationTest, EveryLoadGetsADistinctEpoch) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
-  std::string path = ::testing::TempDir() + "/epoch.idx";
+  std::string path = gks::testing::UniqueTempDir() + "epoch.idx";
   ASSERT_TRUE(SaveIndex(original, path).ok());
 
   Result<XmlIndex> first = LoadIndex(path);
@@ -188,7 +217,7 @@ TEST(SerializationTest, EveryLoadGetsADistinctEpoch) {
 
 TEST(SerializationTest, ReloadInvalidatesResultCacheKeys) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string path = ::testing::TempDir() + "/epoch_cache.idx";
+  std::string path = gks::testing::UniqueTempDir() + "epoch_cache.idx";
   ASSERT_TRUE(SaveIndex(original, path).ok());
   Result<XmlIndex> first = LoadIndex(path);
   Result<XmlIndex> second = LoadIndex(path);
@@ -202,13 +231,13 @@ TEST(SerializationTest, ReloadInvalidatesResultCacheKeys) {
 
 TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string dir = ::testing::TempDir();
+  std::string dir = gks::testing::UniqueTempDir();
   ASSERT_TRUE(
-      SaveIndex(original, dir + "/inspect_v1.idx", IndexFormat::kV1).ok());
+      SaveIndex(original, dir + "inspect_v1.idx", IndexFormat::kV1).ok());
   ASSERT_TRUE(
-      SaveIndex(original, dir + "/inspect_v2.idx", IndexFormat::kV2).ok());
+      SaveIndex(original, dir + "inspect_v2.idx", IndexFormat::kV2).ok());
 
-  Result<IndexFileInfo> v1 = InspectIndexFile(dir + "/inspect_v1.idx");
+  Result<IndexFileInfo> v1 = InspectIndexFile(dir + "inspect_v1.idx");
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   EXPECT_EQ(v1->version, 1);
   ASSERT_EQ(v1->sections.size(), 4u);
@@ -216,7 +245,7 @@ TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   for (const IndexSectionInfo& s : v1->sections) v1_total += s.bytes;
   EXPECT_EQ(v1_total, v1->file_bytes);
 
-  Result<IndexFileInfo> v2 = InspectIndexFile(dir + "/inspect_v2.idx");
+  Result<IndexFileInfo> v2 = InspectIndexFile(dir + "inspect_v2.idx");
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_EQ(v2->version, 2);
   ASSERT_EQ(v2->sections.size(), 5u);
@@ -232,7 +261,7 @@ TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
 
 TEST(SerializationTest, InspectReportsNoRankBoundsSectionWhenOmitted) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string path = ::testing::TempDir() + "/inspect_v2nb.idx";
+  std::string path = gks::testing::UniqueTempDir() + "inspect_v2nb.idx";
   ASSERT_TRUE(SaveIndex(original, path, IndexFormat::kV2NoRankBounds).ok());
   Result<IndexFileInfo> info = InspectIndexFile(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();

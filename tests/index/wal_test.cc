@@ -11,12 +11,13 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 
 namespace gks {
 namespace {
 
 std::string TempWalPath(const std::string& name) {
-  std::string path = ::testing::TempDir() + "gks_wal_" + name + ".log";
+  std::string path = gks::testing::UniqueTempDir() + "gks_wal_" + name + ".log";
   std::remove(path.c_str());
   return path;
 }

@@ -148,7 +148,7 @@ TEST(EndToEndNasa, DeeperKeywordsStillRankCorrectly) {
 TEST(EndToEndSigmod, SaveLoadServeCycle) {
   XmlIndex index = BuildIndexFromXml(data::GenerateSigmodRecord(
       data::SigmodOptions{.issues = 20, .seed = 11}));
-  std::string path = ::testing::TempDir() + "/gks_sigmod.idx";
+  std::string path = gks::testing::UniqueTempDir() + "gks_sigmod.idx";
   ASSERT_TRUE(SaveIndex(index, path).ok());
   Result<XmlIndex> loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok());

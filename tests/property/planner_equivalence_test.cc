@@ -43,7 +43,7 @@ class PlannerEquivalence : public ::testing::TestWithParam<uint32_t> {
 
     // Round-trip through the v2 block format and the zero-copy loader so
     // probe seeks exercise the block skip-table/decode-cache backend.
-    std::string path = ::testing::TempDir() + "/planner_eq_" +
+    std::string path = gks::testing::UniqueTempDir() + "/planner_eq_" +
                        std::to_string(GetParam()) + ".idx";
     ASSERT_TRUE(SaveIndex(eager_, path, IndexFormat::kV2).ok());
     Result<XmlIndex> mapped = LoadIndexMapped(path);

@@ -138,7 +138,7 @@ class ShardedRepo {
  public:
   ShardedRepo(const std::vector<std::string>& xml_docs, size_t shard_count,
               const std::string& tag) {
-    std::string dir = ::testing::TempDir() + "/shard_eq_" + tag;
+    std::string dir = gks::testing::UniqueTempDir() + "/shard_eq_" + tag;
     std::string mkdir = "mkdir -p " + dir;
     EXPECT_EQ(std::system(mkdir.c_str()), 0);
     std::vector<std::string> files;

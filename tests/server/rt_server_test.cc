@@ -22,7 +22,7 @@ namespace gks {
 namespace {
 
 std::string FreshRtDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "gks_rt_server_" + name;
+  std::string dir = gks::testing::UniqueTempDir() + "gks_rt_server_" + name;
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   return dir;
@@ -146,7 +146,8 @@ TEST(RtServerTest, StrictWireParsingOfWriteRequests) {
 TEST(RtServerTest, ClassicServerRejectsWritesWithRtDisabled) {
   // A server started the classic way (index file, no --rt).
   XmlIndex index = gks::testing::BuildIndexFromXml(BookXml("static"));
-  std::string path = ::testing::TempDir() + "gks_rt_server_classic.gksidx";
+  std::string path =
+      gks::testing::UniqueTempDir() + "gks_rt_server_classic.gksidx";
   ASSERT_TRUE(SaveIndex(index, path).ok());
   ServerConfig config;
   config.host = "127.0.0.1";
@@ -226,7 +227,8 @@ TEST(RtServerTest, BaseIndexPlusRtWrites) {
   XmlIndex base = gks::testing::BuildIndexFromDocs({
       {"base.xml", BookXml("bedrock")},
   });
-  std::string base_path = ::testing::TempDir() + "gks_rt_server_base.gksidx";
+  std::string base_path =
+      gks::testing::UniqueTempDir() + "gks_rt_server_base.gksidx";
   ASSERT_TRUE(SaveIndex(base, base_path).ok());
 
   auto server = StartRtServer(FreshRtDir("base"), base_path);

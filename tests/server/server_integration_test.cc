@@ -29,7 +29,7 @@ namespace {
 /// Builds one DBLP index file, shared by every test in the suite.
 const std::string& IndexPath() {
   static const std::string* path = [] {
-    std::string file = ::testing::TempDir() + "gks_server_test.gksidx";
+    std::string file = gks::testing::UniqueTempDir() + "gks_server_test.gksidx";
     data::DblpOptions options;
     options.articles = 800;
     XmlIndex index =

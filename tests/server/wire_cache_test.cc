@@ -15,6 +15,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire_cache.h"
+#include "tests/test_util.h"
 #include "xml/sax_parser.h"
 
 namespace gks {
@@ -78,7 +79,7 @@ uint64_t CounterValue(const char* name) {
 }
 
 TEST(WireCacheServerTest, RepeatShardFanoutsAreServedFromCache) {
-  std::string dir = ::testing::TempDir() + "gks_wire_cache_test";
+  std::string dir = gks::testing::UniqueTempDir() + "gks_wire_cache_test";
   ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
   // The repeated <author> group plus free attributes make the article
   // an entity, so the shard partial carries DI contributions.

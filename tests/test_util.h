@@ -1,8 +1,13 @@
 #ifndef GKS_TESTS_TEST_UTIL_H_
 #define GKS_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -12,6 +17,34 @@
 #include "index/xml_index.h"
 
 namespace gks::testing {
+
+/// This process's own scratch directory, with a trailing '/': created on
+/// first use under ::testing::TempDir() and removed at exit. Use it for
+/// every file a test writes. `ctest -j` runs test binaries concurrently,
+/// and each `_scalar` twin runs the same tests as its sibling, so a fixed
+/// path under the shared temp root would be rewritten by one process
+/// while another still has it open or mapped.
+inline const std::string& UniqueTempDir() {
+  struct Dir {
+    std::string path;
+    Dir() {
+      std::string pattern = ::testing::TempDir();
+      if (pattern.empty() || pattern.back() != '/') pattern += '/';
+      pattern += "gks_test_XXXXXX";
+      if (::mkdtemp(pattern.data()) == nullptr) {
+        std::perror("mkdtemp");
+        std::abort();
+      }
+      path = pattern + "/";
+    }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
 
 /// Builds an index over one in-memory document, failing the test on error.
 inline XmlIndex BuildIndexFromXml(std::string_view xml,

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 
 namespace gks::xml {
 namespace {
@@ -96,7 +97,7 @@ TEST(SaxParserTest, HandlerErrorAbortsParse) {
 }
 
 TEST(SaxParserTest, FileRoundTrip) {
-  std::string path = ::testing::TempDir() + "/gks_sax_test.xml";
+  std::string path = gks::testing::UniqueTempDir() + "gks_sax_test.xml";
   ASSERT_TRUE(WriteStringToFile(path, "<a><b>x</b></a>").ok());
   RecordingHandler handler;
   ASSERT_TRUE(ParseXmlFile(path, &handler).ok());
