@@ -27,6 +27,7 @@
 
 #include "bench/bench_util.h"
 #include "common/metrics.h"
+#include "index/serialization.h"
 #include "index/shard.h"
 #include "server/client.h"
 #include "server/server.h"

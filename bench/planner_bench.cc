@@ -18,8 +18,7 @@
 // cannot beat the k-th needle, so the evaluator jumps them undecoded:
 //
 //   - k <= 10: >= 3x faster than full evaluation, identical top-k nodes,
-//     gks.search.topk.blocks_skipped_total > 0 (real block jumps);
-//   - top-k disabled: ~1.0x parity, bounds section present or not.
+//     gks.search.topk.blocks_skipped_total > 0 (real block jumps).
 //
 // Prints one table plus a trailing `BENCH_JSON {...}` line that the
 // BENCH_pr5.json / BENCH_pr7.json records are transcribed from.
@@ -306,32 +305,19 @@ int main() {
   double topk_build_seconds = 0.0;
   gks::XmlIndex topk_built =
       gks::bench::BuildIndex(topk_corpus, &topk_build_seconds);
-  // Round-trip through the v2 file (and its no-bounds sibling) so the
-  // sweep exercises the real mmap cursor path: block jumps over encoded,
-  // never-decoded postings.
-  const char* bounds_path = "planner_bench_topk_v2.gksidx";
-  const char* nobounds_path = "planner_bench_topk_v2nb.gksidx";
-  for (const auto& [path, format] :
-       {std::pair<const char*, gks::IndexFormat>{bounds_path,
-                                                 gks::IndexFormat::kV2},
-        std::pair<const char*, gks::IndexFormat>{
-            nobounds_path, gks::IndexFormat::kV2NoRankBounds}}) {
-    if (gks::Status status = gks::SaveIndex(topk_built, path, format);
-        !status.ok()) {
-      std::fprintf(stderr, "FATAL save %s: %s\n", path,
-                   status.ToString().c_str());
-      return 1;
-    }
+  // Round-trip through the v2 file so the sweep exercises the real mmap
+  // cursor path: block jumps over encoded, never-decoded postings.
+  const char* topk_path = "planner_bench_topk_v2.gksidx";
+  if (gks::Status status = gks::SaveIndex(topk_built, topk_path);
+      !status.ok()) {
+    std::fprintf(stderr, "FATAL save %s: %s\n", topk_path,
+                 status.ToString().c_str());
+    return 1;
   }
-  gks::Result<gks::XmlIndex> topk_index = gks::LoadIndexMapped(bounds_path);
-  gks::Result<gks::XmlIndex> nobounds_index =
-      gks::LoadIndexMapped(nobounds_path);
-  if (!topk_index.ok() || !nobounds_index.ok()) {
+  gks::Result<gks::XmlIndex> topk_index = gks::LoadIndexMapped(topk_path);
+  if (!topk_index.ok()) {
     std::fprintf(stderr, "FATAL mmap load: %s\n",
-                 (!topk_index.ok() ? topk_index : nobounds_index)
-                     .status()
-                     .ToString()
-                     .c_str());
+                 topk_index.status().ToString().c_str());
     return 1;
   }
 
@@ -386,22 +372,6 @@ int main() {
     }
   }
 
-  // Parity when top-k is off: the bounds section must cost nothing on the
-  // full path (it is not even touched), with or without the section.
-  gks::SearchResponse parity_bounds, parity_nobounds;
-  double parity_bounds_ms =
-      TimeTopK(*topk_index, "alpha beta", 0, &parity_bounds);
-  double parity_nobounds_ms =
-      TimeTopK(*nobounds_index, "alpha beta", 0, &parity_nobounds);
-  CheckIdentical(parity_bounds, parity_nobounds, "bounds-vs-nobounds");
-  double parity = parity_bounds_ms / parity_nobounds_ms;
-
-  // A no-bounds index still answers top-k exactly (weight bounds read as
-  // 1.0: only sparse skips fire, results unchanged).
-  gks::SearchResponse nobounds_topk;
-  (void)TimeTopK(*nobounds_index, "alpha beta", 10, &nobounds_topk, 2);
-  CheckTopKIdentical(parity_nobounds, nobounds_topk, 10, "nobounds top-k");
-
   // The >= 3x claim is about DENSE matches, where full evaluation has no
   // choice but to score everything ("alpha beta" hits every record). The
   // skewed "alpha gamma" rows demonstrate sparse skips; their full-path
@@ -430,12 +400,9 @@ int main() {
               worst_topk_speedup);
   std::printf("worst skewed-query top-k parity = %.2fx (want >= 0.95x)\n",
               worst_sparse_parity);
-  std::printf("top-k-off parity bounds/nobounds = %.3fx (want ~1.0x)\n",
-              parity);
   std::printf("blocks skipped across the sweep = %llu (want > 0)\n",
               (unsigned long long)total_blocks_skipped);
-  std::remove(bounds_path);
-  std::remove(nobounds_path);
+  std::remove(topk_path);
 
   gks::JsonWriter json;
   json.BeginObject();
@@ -463,7 +430,6 @@ int main() {
   json.Key("build_seconds").Double(topk_build_seconds, 2);
   json.Key("worst_dense_speedup_k_le_10").Double(worst_topk_speedup, 1);
   json.Key("worst_sparse_parity").Double(worst_sparse_parity, 2);
-  json.Key("parity_bounds_over_nobounds").Double(parity, 3);
   json.Key("blocks_skipped").UInt(total_blocks_skipped);
   json.Key("rows").BeginArray();
   for (const TopKRow& row : topk_rows) {

@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -73,6 +75,30 @@ Status FlagParser::Validate(const std::vector<std::string>& known) const {
     }
   }
   return Status::OK();
+}
+
+Status FlagParser::ValidateCounts(
+    const std::vector<std::string>& counts) const {
+  for (const std::string& name : counts) {
+    auto it = flags_.find(name);
+    if (it == flags_.end() || it->second.empty()) continue;  // default
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    long long value = std::strtoll(text, &end, 10);
+    if (errno != 0 || end == text || *end != '\0' || value < 0 ||
+        value > kMaxCountFlag) {
+      return Status::InvalidArgument(
+          "--" + name + " must be an integer in [0, " +
+          std::to_string(kMaxCountFlag) + "] (got '" + it->second + "')");
+    }
+  }
+  return Status::OK();
+}
+
+int FlagError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 2;
 }
 
 }  // namespace gks

@@ -146,8 +146,10 @@ Result<NumericSummary> AggregateNumeric(const XmlIndex& index,
 Result<std::vector<HistogramBucket>> NumericHistogram(
     const XmlIndex& index, const std::vector<GksNode>& nodes,
     std::string_view tag, size_t buckets) {
-  if (buckets == 0) {
-    return Status::InvalidArgument("histogram needs at least one bucket");
+  if (buckets == 0 || buckets > kMaxHistogramBuckets) {
+    return Status::InvalidArgument("histogram needs 1 to " +
+                                   std::to_string(kMaxHistogramBuckets) +
+                                   " buckets");
   }
   uint64_t skipped = 0;
   GKS_ASSIGN_OR_RETURN(std::vector<double> values,

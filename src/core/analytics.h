@@ -66,6 +66,9 @@ struct HistogramBucket {
   uint64_t count = 0;
 };
 
+/// InvalidArgument unless 1 <= buckets <= kMaxHistogramBuckets: the
+/// count often comes from a command line and sizes the result up front.
+constexpr size_t kMaxHistogramBuckets = 1024;
 Result<std::vector<HistogramBucket>> NumericHistogram(
     const XmlIndex& index, const std::vector<GksNode>& nodes,
     std::string_view tag, size_t buckets);

@@ -8,20 +8,6 @@
 namespace gks {
 namespace {
 
-// Deepest self-or-ancestor entity of `id`, as a component vector.
-bool LowestEntityComponents(const XmlIndex& index, DeweySpan id,
-                            std::vector<uint32_t>* out) {
-  for (uint32_t len = id.size; len >= 1; --len) {
-    DeweySpan prefix{id.data, len};
-    const NodeInfo* info = index.nodes.Find(prefix);
-    if (info != nullptr && info->is_entity()) {
-      out->assign(prefix.data, prefix.data + prefix.size);
-      return true;
-    }
-  }
-  return false;
-}
-
 // The DI occurrence filter (see DiAccumulator::Add): calls `fn(i)` with
 // the attribute-directory position of each occurrence `node` contributes,
 // in directory order.
@@ -36,7 +22,7 @@ void ForEachDiOccurrence(const XmlIndex& index, const GksNode& node,
   std::vector<uint32_t> owner;
   for (size_t i = begin; i < end; ++i) {
     // The value belongs to this LCE only if no deeper entity owns it.
-    if (!LowestEntityComponents(index, index.attributes.IdAt(i), &owner)) {
+    if (!LowestEntityOf(index, index.attributes.IdAt(i), &owner)) {
       continue;
     }
     if (owner.size() != entity.size ||

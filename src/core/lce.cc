@@ -23,7 +23,7 @@ bool LowestEntityOf(const XmlIndex& index, DeweySpan id, ComponentVec* out) {
     DeweySpan prefix{id.data, len};
     const NodeInfo* info = index.nodes.Find(prefix);
     if (info != nullptr && info->is_entity()) {
-      *out = ToComponents(prefix);
+      out->assign(prefix.data, prefix.data + prefix.size);  // reuses capacity
       return true;
     }
   }

@@ -62,8 +62,8 @@ class IndexBuilder::Handler : public xml::SaxHandler {
                        OnNodeFacts(facts);
                      }) {}
 
-  // `dewey_doc_id` seeds the Dewey ids (may be offset for incremental
-  // deltas); the catalog entry is always the builder-local one.
+  // `dewey_doc_id` seeds the Dewey ids (may be offset for parallel-build
+  // deltas and segments); the catalog entry is always the builder-local one.
   void BeginDocument(uint32_t dewey_doc_id) {
     doc_id_ = dewey_doc_id;
     doc_info_ = index_->catalog.mutable_document(

@@ -20,8 +20,9 @@ struct IndexBuilderOptions {
   /// Leaf-text values longer than this are not stored in the DI value pool
   /// (they still get indexed as keywords).
   size_t max_stored_value_bytes = 256;
-  /// Dewey document ids start here — used by the incremental updater to
-  /// build deltas whose ids sort after an existing index's.
+  /// Dewey document ids start here — used by the parallel build, the
+  /// real-time segments and the shard split to build indexes whose ids
+  /// sort after (or carry the global offset of) earlier documents.
   uint32_t first_doc_id = 0;
 };
 

@@ -49,7 +49,7 @@ class InvertedIndex {
   /// Posting list for `term`, or nullptr if the term never occurs.
   const PostingList* Find(std::string_view term) const;
 
-  /// Existing-or-new mutable list for `term` (incremental updates).
+  /// Existing-or-new mutable list for `term` (parallel-build delta merge).
   PostingList* MutableList(std::string_view term);
 
   size_t term_count() const {
@@ -67,12 +67,12 @@ class InvertedIndex {
 
   size_t MemoryUsage() const;
 
-  void EncodeTo(std::string* dst) const;
+  /// Format v1 reader: v1 files written by older builds still load.
   static Status DecodeFrom(std::string_view* input, InvertedIndex* out);
 
   /// Format v2: terms in lexicographic order, each followed by its
-  /// block-postings blob (posting_blocks.h). Same determinism contract as
-  /// EncodeTo.
+  /// block-postings blob (posting_blocks.h). Deterministic: the bytes
+  /// depend only on the index contents, never on the build schedule.
   void EncodeToBlocks(std::string* dst) const;
   /// Parses a block-format section from the front of `*input`. Each list
   /// keeps a view into the input bytes (skip table parsed, payloads

@@ -245,11 +245,11 @@ class PostingList {
   }
 
   /// Appends a finalized `tail` whose first id sorts strictly after this
-  /// list's last id (the incremental-update case: the tail belongs to a
-  /// newer document). InvalidArgument if the order would break.
+  /// list's last id (the parallel-build delta merge: the tail belongs to a
+  /// later document). InvalidArgument if the order would break.
   Status ExtendWith(const PostingList& tail);
 
-  void EncodeTo(std::string* dst) const { materialized_ids().EncodeTo(dst); }
+  /// Format v1 reader: one PackedIds payload (PackedIds::DecodeFrom).
   static Status DecodeFrom(std::string_view* input, PostingList* out);
 
   /// Encodes as a block-postings blob (format v2; see posting_blocks.h).

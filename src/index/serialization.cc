@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/lz.h"
 #include "common/metrics.h"
@@ -161,17 +162,7 @@ Status UnwrapSection(std::string_view raw, bool lz, std::string* storage,
   return Status::OK();
 }
 
-std::string SerializeIndexV1(const XmlIndex& index) {
-  std::string out;
-  out.append(kMagicV1);
-  index.catalog.EncodeTo(&out);
-  index.nodes.EncodeTo(&out);
-  index.attributes.EncodeTo(&out);
-  index.inverted.EncodeTo(&out);
-  return out;
-}
-
-std::string SerializeIndexV2(const XmlIndex& index, bool include_bounds) {
+std::string SerializeIndexV2(const XmlIndex& index) {
   // Encode each payload first, then lay the file out as
   // magic | count | table | payloads.
   std::string catalog;
@@ -193,25 +184,21 @@ std::string SerializeIndexV2(const XmlIndex& index, bool include_bounds) {
   // Raw like the inverted section: the varint triples are already dense,
   // and top-k evaluation reads them straight from the mapping.
   std::string rank_bounds;
-  if (include_bounds) {
-    index.inverted.EncodeRankBoundsTo(index.nodes, &rank_bounds);
-  }
+  index.inverted.EncodeRankBoundsTo(index.nodes, &rank_bounds);
 
   struct Pending {
     uint32_t id;
     uint32_t flags;
     const std::string* payload;
   };
-  std::vector<Pending> sections = {
+  const Pending sections[] = {
       {kSectionCatalog, 0, &catalog},
       {kSectionNodes, kFlagLz, &nodes},
       {kSectionAttributes, kFlagLz, &attrs},
       {kSectionInverted, 0, &inverted},
+      {kSectionRankBounds, 0, &rank_bounds},
   };
-  if (include_bounds) {
-    sections.push_back({kSectionRankBounds, 0, &rank_bounds});
-  }
-  const size_t section_count = sections.size();
+  constexpr size_t section_count = std::size(sections);
 
   std::string out;
   out.append(kMagicV2);
@@ -307,20 +294,9 @@ Result<XmlIndex> DeserializeIndexV2(std::string_view bytes) {
 
 }  // namespace
 
-std::string SerializeIndex(const XmlIndex& index, IndexFormat format) {
+std::string SerializeIndex(const XmlIndex& index) {
   WallTimer timer;
-  std::string out;
-  switch (format) {
-    case IndexFormat::kV1:
-      out = SerializeIndexV1(index);
-      break;
-    case IndexFormat::kV2NoRankBounds:
-      out = SerializeIndexV2(index, /*include_bounds=*/false);
-      break;
-    case IndexFormat::kV2:
-      out = SerializeIndexV2(index, /*include_bounds=*/true);
-      break;
-  }
+  std::string out = SerializeIndexV2(index);
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("gks.index.serialize.bytes_total")->Add(out.size());
   registry.GetHistogram("gks.index.serialize.latency_ms")
@@ -350,9 +326,8 @@ Result<XmlIndex> DeserializeIndex(std::string_view bytes) {
   return result;
 }
 
-Status SaveIndex(const XmlIndex& index, const std::string& path,
-                 IndexFormat format) {
-  return WriteFileAtomic(path, SerializeIndex(index, format));
+Status SaveIndex(const XmlIndex& index, const std::string& path) {
+  return WriteFileAtomic(path, SerializeIndex(index));
 }
 
 Result<XmlIndex> LoadIndex(const std::string& path) {

@@ -13,9 +13,11 @@ namespace gks {
 
 /// On-disk index formats. Index preparation is "a onetime activity"
 /// (Sec. 7.1.1); these functions let deployments reuse it across processes.
+/// The writer emits v2 with rank bounds only; the readers also accept the
+/// older files below, so indexes written by earlier builds keep loading.
 ///
-///   v1 ("GKSIDX01"): magic, then the catalog, node table, attribute
-///     directory and inverted index sections back to back, each
+///   v1 ("GKSIDX01", read only): magic, then the catalog, node table,
+///     attribute directory and inverted index sections back to back, each
 ///     varint-encoded. No section table — the file must be decoded front
 ///     to back, eagerly.
 ///
@@ -25,33 +27,19 @@ namespace gks {
 ///     table makes the file position-independent: any section is reachable
 ///     without touching the others, which is what LoadIndexMapped builds
 ///     on. Flags bit 0 marks an LZ-wrapped payload (common/lz.h). The node
-///     table and attribute directory are LZ-wrapped v1 payloads; the
+///     table and attribute directory are LZ-wrapped varint payloads; the
 ///     inverted index uses the block-postings encoding (posting_blocks.h)
 ///     and stays uncompressed so individual blocks decode straight from
-///     the mapped bytes; the catalog is raw (too small to benefit). Since
-///     PR 7 the writer also emits a rank_bounds section (per-block rank
-///     upper bounds, block_max.h) that powers top-k early termination;
-///     the section is OPTIONAL on read — a v2 file without it loads and
-///     serves with the bounds treated as +inf (weight 1.0).
-///
-///   kV2NoRankBounds: writer-only knob producing a v2 file WITHOUT the
-///     rank_bounds section — the exact byte stream pre-PR 7 writers
-///     produced, for the backward-compat pin and for files older binaries
-///     must read without surprises. Readers sniff the magic, so there is
-///     no separate reader for it.
-enum class IndexFormat {
-  kV1 = 1,
-  kV2 = 2,
-  kV2NoRankBounds = 3,
-};
+///     the mapped bytes; the catalog is raw (too small to benefit). The
+///     last section, rank_bounds (per-block rank upper bounds,
+///     block_max.h), powers top-k early termination. It is OPTIONAL on
+///     read: v2 files from writers that predate it load and serve with the
+///     bounds treated as +inf (weight 1.0).
 
-/// Writers default to the current format. SaveIndex replaces `path`
-/// atomically (WriteFileAtomic), so an index mapped from the old file by
-/// LoadIndexMapped keeps serving the old bytes.
-Status SaveIndex(const XmlIndex& index, const std::string& path,
-                 IndexFormat format = IndexFormat::kV2);
-std::string SerializeIndex(const XmlIndex& index,
-                           IndexFormat format = IndexFormat::kV2);
+/// SaveIndex replaces `path` atomically (WriteFileAtomic), so an index
+/// mapped from the old file by LoadIndexMapped keeps serving the old bytes.
+Status SaveIndex(const XmlIndex& index, const std::string& path);
+std::string SerializeIndex(const XmlIndex& index);
 
 /// Readers sniff the magic, so either format loads through either path.
 /// LoadIndex/DeserializeIndex decode everything eagerly; the returned

@@ -8,6 +8,7 @@
 #include "common/json_value.h"
 #include "common/json_writer.h"
 #include "index/index_builder.h"
+#include "index/serialization.h"
 #include "xml/sax_parser.h"
 
 namespace gks {
@@ -54,7 +55,7 @@ std::vector<size_t> PartitionByBytes(const std::vector<uint64_t>& sizes,
 Result<ShardManifest> SplitIntoShards(const std::vector<std::string>& xml_files,
                                       size_t shard_count,
                                       const std::string& out_dir,
-                                      IndexFormat format, ThreadPool* pool) {
+                                      ThreadPool* pool) {
   if (shard_count == 0) {
     return Status::InvalidArgument("shard count must be >= 1");
   }
@@ -93,7 +94,7 @@ Result<ShardManifest> SplitIntoShards(const std::vector<std::string>& xml_files,
     spec.file = ShardFileName(shard);
     spec.doc_base = static_cast<uint32_t>(begin);
     spec.doc_count = static_cast<uint32_t>(end - begin);
-    GKS_RETURN_IF_ERROR(SaveIndex(index, out_dir + "/" + spec.file, format));
+    GKS_RETURN_IF_ERROR(SaveIndex(index, out_dir + "/" + spec.file));
     manifest.shards.push_back(std::move(spec));
   }
   GKS_RETURN_IF_ERROR(

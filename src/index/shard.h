@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "index/serialization.h"
 
 namespace gks {
 
@@ -53,7 +52,6 @@ struct ShardManifest {
 Result<ShardManifest> SplitIntoShards(const std::vector<std::string>& xml_files,
                                       size_t shard_count,
                                       const std::string& out_dir,
-                                      IndexFormat format = IndexFormat::kV2,
                                       ThreadPool* pool = nullptr);
 
 /// Manifest (de)serialization. The format is plain JSON:

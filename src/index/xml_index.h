@@ -20,8 +20,8 @@ struct XmlIndex {
   Catalog catalog;
 
   /// Mutation epoch: stamped from NextIndexEpoch() by every load and every
-  /// in-place mutation (IndexUpdater appends, schema reconciliation) so
-  /// epoch-keyed consumers — the QueryResultCache above all — never serve
+  /// real-time snapshot (rt_index.h), and bumped by schema reconciliation,
+  /// so epoch-keyed consumers — the QueryResultCache above all — never serve
   /// results computed against an older state. Process-globally unique:
   /// reloading an index file (or mapping a file whose content changed)
   /// yields a fresh epoch, so cache entries keyed to the previous

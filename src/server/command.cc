@@ -68,6 +68,19 @@ int ClientUsage() {
 
 int RunServeCommand(const FlagParser& flags) {
   const auto& args = flags.positional();
+  if (Status status = flags.Validate(
+          {"host", "port", "threads", "queue", "deadline-ms", "cache",
+           "max-request-bytes", "mmap", "rt", "rt-flush-docs",
+           "rt-flush-bytes", "rt-merge-fanout", "rt-fsync", "doc-base",
+           "coord-shards", "coord-deadline-ms", "coord-retries",
+           "coord-backoff-ms", "coord-partial"});
+      !status.ok()) {
+    return FlagError(status);
+  }
+  // Checked before the pool exists: --threads sizes it up front.
+  if (Status status = flags.ValidateCounts({"threads"}); !status.ok()) {
+    return FlagError(status);
+  }
 
   ServerConfig config;
   config.host = flags.GetString("host", "127.0.0.1");
@@ -150,6 +163,18 @@ int RunServeCommand(const FlagParser& flags) {
 }
 
 int RunClientCommand(const FlagParser& flags) {
+  if (Status status = flags.Validate(
+          {"host", "port", "admin", "path", "query", "s", "top", "top-k",
+           "explain", "plan", "insert-file", "name", "delete", "queries",
+           "connections", "requests", "endpoints", "json-out"});
+      !status.ok()) {
+    return FlagError(status);
+  }
+  // One thread and one socket per connection, so the count is bounded
+  // before anything is sized from it.
+  if (Status status = flags.ValidateCounts({"connections"}); !status.ok()) {
+    return FlagError(status);
+  }
   std::string host = flags.GetString("host", "127.0.0.1");
   int port = static_cast<int>(flags.GetInt("port", 4570));
 

@@ -43,6 +43,20 @@ TEST(FlagsTest, ValidateRejectsUnknown) {
   EXPECT_NE(status.message().find("oops"), std::string::npos);
 }
 
+TEST(FlagsTest, CountFlagsAreBounded) {
+  FlagParser flags = Parse({"--n=-1", "--m=1025", "--w=two", "--ok=3"});
+  for (const char* name : {"n", "m", "w"}) {
+    Status status = flags.ValidateCounts({"ok", name});
+    ASSERT_FALSE(status.ok()) << name;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.message().find(std::string("--") + name),
+              std::string::npos)
+        << status.ToString();
+  }
+  ASSERT_EQ(kMaxCountFlag + 1, 1025);  // "--m" above is exactly cap + 1
+  EXPECT_TRUE(flags.ValidateCounts({"ok", "missing"}).ok());
+}
+
 TEST(FlagsTest, BareFlagBeforePositionalNeedsEquals) {
   // `--flag value` consumes the value; the documented workaround is
   // `--flag=...` when the next token is positional.

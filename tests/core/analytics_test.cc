@@ -1,5 +1,7 @@
 #include "core/analytics.h"
 
+#include <cstdint>
+
 #include "gtest/gtest.h"
 #include "core/searcher.h"
 #include "data/figures.h"
@@ -105,8 +107,14 @@ TEST_F(AnalyticsTest, Histogram) {
   EXPECT_DOUBLE_EQ((*histogram)[2].hi, 60.0);
 }
 
-TEST_F(AnalyticsTest, HistogramRejectsZeroBuckets) {
+TEST_F(AnalyticsTest, HistogramRejectsOutOfRangeBucketCounts) {
   EXPECT_FALSE(NumericHistogram(index_, response_.nodes, "price", 0).ok());
+  // `gks analyze --hist=TAG:-1` arrives as SIZE_MAX.
+  EXPECT_FALSE(
+      NumericHistogram(index_, response_.nodes, "price", SIZE_MAX).ok());
+  EXPECT_FALSE(NumericHistogram(index_, response_.nodes, "price",
+                                kMaxHistogramBuckets + 1)
+                   .ok());
 }
 
 TEST_F(AnalyticsTest, FacetsOnFigure2aExposeCourseNames) {

@@ -1,7 +1,8 @@
-// Backward compatibility against a checked-in v1 index file (see
-// golden/README.md): the legacy decode path must keep loading bytes
-// written by an older build, and must answer queries identically to a
-// freshly built format-v2 index of the same document.
+// Pins against checked-in index files (see golden/README.md). The v1 and
+// no-bounds v2 files are frozen bytes from older writers: the decode paths
+// must keep loading them and answer queries identically to a freshly built
+// index of the same document. The v2 file is the current writer's own
+// output, which a fresh serialization must reproduce byte for byte.
 
 #include <algorithm>
 #include <string>
@@ -132,6 +133,29 @@ TEST(GoldenIndexTest, V2NoBoundsGoldenFileHasNoRankBoundsSection) {
   for (const IndexSectionInfo& section : info->sections) {
     EXPECT_NE(section.name, "rank_bounds");
   }
+}
+
+// The third pin: the one writer's bytes. library_v2.gksidx was written by
+// `gks index tests/index/golden/library.xml` (so the catalog records that
+// name), and serializing a fresh index of the same document must still
+// produce exactly those bytes. A failure means the on-disk format drifted:
+// regenerate the file only together with a documented format change.
+TEST(GoldenIndexTest, FreshSerializationMatchesGoldenV2Bytes) {
+  std::string want;
+  Status status = xml::ReadFileToString(
+      std::string(kGoldenDir) + "/library_v2.gksidx", &want);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::string xml;
+  status =
+      xml::ReadFileToString(std::string(kGoldenDir) + "/library.xml", &xml);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  std::string got = SerializeIndex(
+      BuildIndexFromXml(xml, "tests/index/golden/library.xml"));
+  ASSERT_EQ(got.size(), want.size());
+  auto [got_at, want_at] = std::mismatch(got.begin(), got.end(), want.begin());
+  EXPECT_TRUE(got_at == got.end())
+      << "first differing byte at offset " << (got_at - got.begin());
 }
 
 }  // namespace

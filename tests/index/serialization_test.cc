@@ -6,12 +6,27 @@
 #include "data/figures.h"
 #include "index/posting_list.h"
 #include "tests/test_util.h"
+#include "xml/sax_parser.h"
 
 namespace gks {
 namespace {
 
 using gks::testing::BuildIndexFromXml;
 using gks::testing::SearchOrDie;
+
+// The writer emits v2 with rank bounds only. Reader tests for the older
+// formats load the frozen files of golden/README.md instead; all of them
+// index golden/library.xml.
+std::string GoldenPath(const std::string& name) {
+  return std::string(GKS_TEST_SRCDIR) + "/index/golden/" + name;
+}
+
+XmlIndex BuildGoldenLibrary() {
+  std::string xml;
+  Status status = xml::ReadFileToString(GoldenPath("library.xml"), &xml);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return BuildIndexFromXml(xml);
+}
 
 TEST(SerializationTest, RoundTripPreservesEverything) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml(), "uni.xml");
@@ -81,78 +96,56 @@ TEST(SerializationTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(DeserializeIndex(bytes).ok());
 }
 
-TEST(SerializationTest, V1FormatStillWritesAndLoads) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string v1 = SerializeIndex(original, IndexFormat::kV1);
-  ASSERT_EQ(v1.substr(0, 8), "GKSIDX01");
-  Result<XmlIndex> loaded = DeserializeIndex(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->inverted.term_count(), original.inverted.term_count());
-  EXPECT_EQ(loaded->inverted.posting_count(),
-            original.inverted.posting_count());
-}
-
 TEST(SerializationTest, V2IsDefaultFormat) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
   EXPECT_EQ(SerializeIndex(original).substr(0, 8), "GKSIDX02");
 }
 
-TEST(SerializationTest, V2SmallerThanV1OnRepetitiveCorpus) {
-  // The v2 savings (delta blocks + LZ sections) are a scale property; on a
-  // handful of nodes the fixed skip-table overhead dominates. Use a corpus
-  // with enough repetition to be representative.
-  std::string xml = "<bib>";
-  for (int i = 0; i < 400; ++i) {
-    xml += "<article><author>karen</author><title>generic keyword search "
-           "over xml data</title><year>2006</year></article>";
-  }
-  xml += "</bib>";
-  XmlIndex original = BuildIndexFromXml(xml);
-  std::string v1 = SerializeIndex(original, IndexFormat::kV1);
-  std::string v2 = SerializeIndex(original, IndexFormat::kV2);
-  EXPECT_LT(v2.size(), v1.size());
-}
-
 // The three load paths — v1 eager, v2 eager, v2 mmap — must be
-// observationally identical: same search results, same ranks.
+// observationally identical: same search results, same ranks. The v1 arm
+// reads the golden v1 file and answers against a fresh index of its
+// source document.
 TEST(SerializationTest, AllLoadPathsAnswerQueriesIdentically) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml(), "uni.xml");
-  std::string dir = gks::testing::UniqueTempDir();
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "cross_v1.idx", IndexFormat::kV1).ok());
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "cross_v2.idx", IndexFormat::kV2).ok());
+  std::string path = gks::testing::UniqueTempDir() + "cross_v2.idx";
+  ASSERT_TRUE(SaveIndex(original, path).ok());
+  XmlIndex library = BuildGoldenLibrary();
 
-  Result<XmlIndex> v1 = LoadIndex(dir + "cross_v1.idx");
-  Result<XmlIndex> v2 = LoadIndex(dir + "cross_v2.idx");
-  Result<XmlIndex> v2_mapped = LoadIndexMapped(dir + "cross_v2.idx");
+  Result<XmlIndex> v1 = LoadIndex(GoldenPath("library_v1.gksidx"));
+  Result<XmlIndex> v2 = LoadIndex(path);
+  Result<XmlIndex> v2_mapped = LoadIndexMapped(path);
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   ASSERT_TRUE(v2_mapped.ok()) << v2_mapped.status().ToString();
 
   SearchOptions options;
   options.s = 2;
+  auto expect_same = [&options](const XmlIndex& base, const XmlIndex& loaded,
+                                const char* query) {
+    SearchResponse want = SearchOrDie(base, query, options);
+    SearchResponse got = SearchOrDie(loaded, query, options);
+    ASSERT_EQ(want.nodes.size(), got.nodes.size()) << query;
+    for (size_t i = 0; i < want.nodes.size(); ++i) {
+      EXPECT_EQ(want.nodes[i].id, got.nodes[i].id) << query;
+      EXPECT_DOUBLE_EQ(want.nodes[i].rank, got.nodes[i].rank) << query;
+    }
+  };
   for (const char* query :
        {"student karen mike", "karen", "student name", "mike"}) {
-    SearchResponse base = SearchOrDie(original, query, options);
-    for (XmlIndex* loaded : {&*v1, &*v2, &*v2_mapped}) {
-      SearchResponse got = SearchOrDie(*loaded, query, options);
-      ASSERT_EQ(base.nodes.size(), got.nodes.size()) << query;
-      for (size_t i = 0; i < base.nodes.size(); ++i) {
-        EXPECT_EQ(base.nodes[i].id, got.nodes[i].id) << query;
-        EXPECT_DOUBLE_EQ(base.nodes[i].rank, got.nodes[i].rank) << query;
-      }
+    for (XmlIndex* loaded : {&*v2, &*v2_mapped}) {
+      expect_same(original, *loaded, query);
     }
+  }
+  for (const char* query :
+       {"peter buneman", "xml data", "author year", "database"}) {
+    expect_same(library, *v1, query);
   }
 }
 
 TEST(SerializationTest, MappedLoadFallsBackOnV1Files) {
-  XmlIndex original = BuildIndexFromXml("<r><t>karen</t></r>");
-  std::string path = gks::testing::UniqueTempDir() + "mmap_v1.idx";
-  ASSERT_TRUE(SaveIndex(original, path, IndexFormat::kV1).ok());
-  Result<XmlIndex> loaded = LoadIndexMapped(path);
+  Result<XmlIndex> loaded = LoadIndexMapped(GoldenPath("library_v1.gksidx"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_NE(loaded->inverted.Find("karen"), nullptr);
+  EXPECT_NE(loaded->inverted.Find("buneman"), nullptr);
 }
 
 TEST(SerializationTest, MappedIndexOutlivesTheLoadCall) {
@@ -231,13 +224,10 @@ TEST(SerializationTest, ReloadInvalidatesResultCacheKeys) {
 
 TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string dir = gks::testing::UniqueTempDir();
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "inspect_v1.idx", IndexFormat::kV1).ok());
-  ASSERT_TRUE(
-      SaveIndex(original, dir + "inspect_v2.idx", IndexFormat::kV2).ok());
+  std::string v2_path = gks::testing::UniqueTempDir() + "inspect_v2.idx";
+  ASSERT_TRUE(SaveIndex(original, v2_path).ok());
 
-  Result<IndexFileInfo> v1 = InspectIndexFile(dir + "inspect_v1.idx");
+  Result<IndexFileInfo> v1 = InspectIndexFile(GoldenPath("library_v1.gksidx"));
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   EXPECT_EQ(v1->version, 1);
   ASSERT_EQ(v1->sections.size(), 4u);
@@ -245,7 +235,7 @@ TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   for (const IndexSectionInfo& s : v1->sections) v1_total += s.bytes;
   EXPECT_EQ(v1_total, v1->file_bytes);
 
-  Result<IndexFileInfo> v2 = InspectIndexFile(dir + "inspect_v2.idx");
+  Result<IndexFileInfo> v2 = InspectIndexFile(v2_path);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_EQ(v2->version, 2);
   ASSERT_EQ(v2->sections.size(), 5u);
@@ -259,25 +249,38 @@ TEST(SerializationTest, InspectReportsSectionsForBothFormats) {
   EXPECT_GT(v2->sections[4].bytes, 0u);
 }
 
+// The pre-rank-bounds v2 file has exactly the current writer's sections
+// minus the trailing rank_bounds one.
 TEST(SerializationTest, InspectReportsNoRankBoundsSectionWhenOmitted) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string path = gks::testing::UniqueTempDir() + "inspect_v2nb.idx";
-  ASSERT_TRUE(SaveIndex(original, path, IndexFormat::kV2NoRankBounds).ok());
-  Result<IndexFileInfo> info = InspectIndexFile(path);
+  Result<IndexFileInfo> info =
+      InspectIndexFile(GoldenPath("library_v2_nobounds.gksidx"));
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->version, 2);
   ASSERT_EQ(info->sections.size(), 4u);
   for (const IndexSectionInfo& section : info->sections) {
     EXPECT_NE(section.name, "rank_bounds");
   }
+
+  std::string fresh = gks::testing::UniqueTempDir() + "inspect_library.idx";
+  ASSERT_TRUE(SaveIndex(BuildGoldenLibrary(), fresh).ok());
+  Result<IndexFileInfo> current = InspectIndexFile(fresh);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  ASSERT_EQ(current->sections.size(), 5u);
+  EXPECT_EQ(current->sections[4].name, "rank_bounds");
+  for (size_t i = 0; i < info->sections.size(); ++i) {
+    EXPECT_EQ(info->sections[i].name, current->sections[i].name) << i;
+  }
 }
 
-// A v2 file without the rank_bounds section (any pre-rank-bounds writer,
-// or today's kV2NoRankBounds knob) must load and serve identically; the
+// A v2 file without the rank_bounds section (any pre-rank-bounds writer;
+// the golden file pins one) must load and serve identically; the
 // evaluator treats the missing bounds as +inf.
 TEST(SerializationTest, V2WithoutRankBoundsLoadsAndServes) {
-  XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string nobounds = SerializeIndex(original, IndexFormat::kV2NoRankBounds);
+  XmlIndex original = BuildGoldenLibrary();
+  std::string nobounds;
+  ASSERT_TRUE(xml::ReadFileToString(GoldenPath("library_v2_nobounds.gksidx"),
+                                    &nobounds)
+                  .ok());
   ASSERT_EQ(nobounds.substr(0, 8), "GKSIDX02");  // same magic, fewer sections
 
   Result<XmlIndex> with = DeserializeIndex(SerializeIndex(original));
@@ -285,8 +288,8 @@ TEST(SerializationTest, V2WithoutRankBoundsLoadsAndServes) {
   ASSERT_TRUE(with.ok()) << with.status().ToString();
   ASSERT_TRUE(without.ok()) << without.status().ToString();
 
-  const PostingList* bounded = with->inverted.Find("karen");
-  const PostingList* unbounded = without->inverted.Find("karen");
+  const PostingList* bounded = with->inverted.Find("xml");
+  const PostingList* unbounded = without->inverted.Find("xml");
   ASSERT_NE(bounded, nullptr);
   ASSERT_NE(unbounded, nullptr);
   EXPECT_FALSE(bounded->rank_bounds().empty());
@@ -295,8 +298,8 @@ TEST(SerializationTest, V2WithoutRankBoundsLoadsAndServes) {
   SearchOptions options;
   options.s = 2;
   options.top_k = 3;  // the top-k evaluator must cope with absent bounds
-  SearchResponse want = SearchOrDie(*with, "student karen mike", options);
-  SearchResponse got = SearchOrDie(*without, "student karen mike", options);
+  SearchResponse want = SearchOrDie(*with, "author year", options);
+  SearchResponse got = SearchOrDie(*without, "author year", options);
   ASSERT_EQ(want.nodes.size(), got.nodes.size());
   for (size_t i = 0; i < want.nodes.size(); ++i) {
     EXPECT_EQ(want.nodes[i].id, got.nodes[i].id);
@@ -373,7 +376,7 @@ TEST(SerializationTest, RankBoundsDecoderRejectsStructuralDamage) {
 // Corruption — never crash, never mis-parse neighbouring sections.
 TEST(SerializationTest, RankBoundsSectionSurvivesSingleByteFuzz) {
   XmlIndex original = BuildIndexFromXml(data::Figure2aXml());
-  std::string bytes = SerializeIndex(original, IndexFormat::kV2);
+  std::string bytes = SerializeIndex(original);
 
   // Locate the rank_bounds payload via the documented v2 header layout:
   // magic, u32 section count, then 24-byte entries of u32 id, u32 flags,
@@ -424,7 +427,7 @@ TEST(SerializationTest, RankBoundsSectionSurvivesSingleByteFuzz) {
 
 TEST(SerializationTest, V2RejectsTruncationEverywhere) {
   XmlIndex original = BuildIndexFromXml("<r><t>karen</t><t>mike</t></r>");
-  std::string bytes = SerializeIndex(original, IndexFormat::kV2);
+  std::string bytes = SerializeIndex(original);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     Result<XmlIndex> loaded = DeserializeIndex(bytes.substr(0, cut));
     EXPECT_FALSE(loaded.ok()) << "cut at " << cut;

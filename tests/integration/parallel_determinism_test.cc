@@ -14,7 +14,6 @@
 #include "core/result_cache.h"
 #include "core/searcher.h"
 #include "index/index_builder.h"
-#include "index/index_updater.h"
 #include "index/parallel_build.h"
 #include "index/serialization.h"
 #include "tests/test_util.h"
@@ -182,11 +181,17 @@ TEST(ParallelDeterminismTest, EpochBumpInvalidatesCachedResponses) {
   EXPECT_TRUE(before->nodes.empty());
   ASSERT_TRUE(cache.size() > 0);  // the empty response was cached
 
-  ASSERT_TRUE(AppendDocument(&index,
-                             "<bib><article><title>freshterm xml</title>"
-                             "</article></bib>",
-                             "fresh.xml")
-                  .ok());
+  // The index grows by one document the way a deployment sees it: the
+  // grown index is saved and reloaded into the searcher's slot, which
+  // stamps a new epoch; the shared cache is kept.
+  docs.emplace_back("fresh.xml",
+                    "<bib><article><title>freshterm xml</title>"
+                    "</article></bib>");
+  std::string path = gks::testing::UniqueTempDir() + "epoch_grown.gksidx";
+  ASSERT_TRUE(SaveIndex(BuildIndexFromDocs(docs), path).ok());
+  Result<XmlIndex> reloaded = LoadIndex(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  index = std::move(*reloaded);
   EXPECT_GT(index.epoch, epoch_before);
 
   // Same query text, new epoch -> new key: the stale cached miss must not

@@ -45,7 +45,7 @@ class PlannerEquivalence : public ::testing::TestWithParam<uint32_t> {
     // probe seeks exercise the block skip-table/decode-cache backend.
     std::string path = gks::testing::UniqueTempDir() + "/planner_eq_" +
                        std::to_string(GetParam()) + ".idx";
-    ASSERT_TRUE(SaveIndex(eager_, path, IndexFormat::kV2).ok());
+    ASSERT_TRUE(SaveIndex(eager_, path).ok());
     Result<XmlIndex> mapped = LoadIndexMapped(path);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     mapped_ = std::move(mapped).value();

@@ -1,7 +1,6 @@
 // The `gks` command-line tool: build, inspect and query GKS indexes.
 //
-//   gks index  <out.gksidx> <file.xml...> [--threads=N]
-//                                        [--format=v2|v2-nobounds|v1]
+//   gks index  <out.gksidx> <file.xml...> [--threads=N] [--metrics]
 //   gks search <index.gksidx> "<query>" [--s=N] [--top=N] [--top-k=K]
 //                                        [--refine] [--schema-reconcile]
 //                                        [--explain] [--explain-json]
@@ -22,7 +21,7 @@
 //
 // Every index-reading command accepts --mmap to open the file through
 // LoadIndexMapped (zero-copy, lazy v2 sections) instead of the eager
-// loader.
+// loader. Unknown flags and out-of-range count flags exit 2 (usage).
 //
 // Full reference: docs/CLI.md; metric and span contract:
 // docs/OBSERVABILITY.md.
@@ -67,8 +66,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  gks index  <out.gksidx> <file.xml...> [--threads=N]\n"
-      "             [--format=v2|v2-nobounds|v1]\n"
+      "  gks index  <out.gksidx> <file.xml...> [--threads=N] [--metrics]\n"
       "  gks search <index.gksidx> \"<query>\" [--s=N] [--top=N] [--di=M]\n"
       "             [--refine] [--schema-reconcile] [--explain] [--chunks=N]\n"
       "             [--explain-json] [--metrics] [--plan=auto|merge|probe|"
@@ -85,7 +83,6 @@ int Usage() {
       "  gks schema <index.gksidx>\n"
       "  gks stats  <index.gksidx> [--metrics] [--metrics-json]\n"
       "  gks shard  <out-dir> <file.xml...> --shards=N [--threads=N]\n"
-      "             [--format=v2|v2-nobounds|v1]\n"
       "             (split into contiguous document-range shard indexes +\n"
       "              MANIFEST.json for distributed serving,\n"
       "              docs/DISTRIBUTED.md)\n"
@@ -165,19 +162,7 @@ int CmdIndex(const FlagParser& flags) {
   WallTimer timer;
   Result<XmlIndex> index = BuildIndexFromArgs(flags, args);
   if (!index.ok()) return Fail(index.status());
-  std::string format_name = flags.GetString("format", "v2");
-  IndexFormat format;
-  if (format_name == "v1") {
-    format = IndexFormat::kV1;
-  } else if (format_name == "v2") {
-    format = IndexFormat::kV2;
-  } else if (format_name == "v2-nobounds") {
-    // The pre-rank-bounds v2 byte stream (compatibility pins, A/B sizing).
-    format = IndexFormat::kV2NoRankBounds;
-  } else {
-    return Usage();
-  }
-  if (Status status = SaveIndex(*index, args[1], format); !status.ok()) {
+  if (Status status = SaveIndex(*index, args[1]); !status.ok()) {
     return Fail(status);
   }
   std::printf("wrote %s: %zu docs, %llu elements, %zu terms, %llu postings "
@@ -536,24 +521,13 @@ int CmdShard(const FlagParser& flags) {
   if (args.size() < 3) return Usage();
   size_t shard_count = static_cast<size_t>(flags.GetInt("shards", 2));
   if (shard_count == 0) return Usage();
-  std::string format_name = flags.GetString("format", "v2");
-  IndexFormat format;
-  if (format_name == "v1") {
-    format = IndexFormat::kV1;
-  } else if (format_name == "v2") {
-    format = IndexFormat::kV2;
-  } else if (format_name == "v2-nobounds") {
-    format = IndexFormat::kV2NoRankBounds;
-  } else {
-    return Usage();
-  }
   std::vector<std::string> xml_files(args.begin() + 2, args.end());
   int threads = static_cast<int>(flags.GetInt("threads", 1));
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   WallTimer timer;
-  Result<ShardManifest> manifest = SplitIntoShards(
-      xml_files, shard_count, args[1], format, pool.get());
+  Result<ShardManifest> manifest =
+      SplitIntoShards(xml_files, shard_count, args[1], pool.get());
   if (!manifest.ok()) return Fail(manifest.status());
   std::printf("wrote %zu shards (%u documents) to %s in %.2fs\n",
               manifest->shards.size(),
@@ -566,20 +540,44 @@ int CmdShard(const FlagParser& flags) {
   return 0;
 }
 
+// Each command with every flag it reads (any other flag is a usage error)
+// and its count flags, which are range-checked before the command runs.
+struct Command {
+  const char* name;
+  int (*run)(const FlagParser&);
+  std::vector<std::string> flags;
+  std::vector<std::string> counts;
+};
+
+const Command kCommands[] = {
+    {"index", CmdIndex, {"threads", "metrics"}, {"threads"}},
+    {"search", CmdSearch,
+     {"mmap", "schema-reconcile", "s", "top", "top-k", "di", "refine",
+      "explain", "explain-json", "plan", "chunks", "metrics"}, {}},
+    {"batch", CmdBatch,
+     {"mmap", "threads", "cache", "repeat", "s", "top", "top-k", "di", "plan",
+      "print", "metrics"}, {"threads", "repeat"}},
+    {"analyze", CmdAnalyze, {"mmap", "s", "facets", "agg", "hist"}, {}},
+    {"schema", CmdSchema, {"mmap"}, {}},
+    {"stats", CmdStats, {"mmap", "metrics", "metrics-json"}, {}},
+    {"generate", CmdGenerate, {"scale"}, {}},
+    {"shard", CmdShard, {"shards", "threads"}, {"shards", "threads"}},
+};
+
 int Run(int argc, char** argv) {
   FlagParser flags(argc, argv);
   if (flags.positional().empty()) return Usage();
   const std::string& command = flags.positional()[0];
-  if (command == "index") return CmdIndex(flags);
-  if (command == "search") return CmdSearch(flags);
-  if (command == "batch") return CmdBatch(flags);
-  if (command == "analyze") return CmdAnalyze(flags);
-  if (command == "schema") return CmdSchema(flags);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "shard") return CmdShard(flags);
+  // The server surface checks its own flags (gks_client shares it).
   if (command == "serve") return RunServeCommand(flags);
   if (command == "client") return RunClientCommand(flags);
+  for (const Command& entry : kCommands) {
+    if (command != entry.name) continue;
+    Status status = flags.Validate(entry.flags);
+    if (status.ok()) status = flags.ValidateCounts(entry.counts);
+    if (!status.ok()) return FlagError(status);
+    return entry.run(flags);
+  }
   return Usage();
 }
 
