@@ -40,7 +40,7 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
 "$build/tests/common_test" \
-  --gtest_filter='Varint*:Lz*:Simd*' --gtest_brief=1
+  --gtest_filter='Varint*:Lz*' --gtest_brief=1
 "$build/tests/index_test" \
   --gtest_filter='PostingBlocks*:Serialization*:GoldenIndex*:PostingList*' \
   --gtest_brief=1
@@ -50,9 +50,5 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$build/tests/index_test" \
   --gtest_filter='Wal*:RtIndex*:SizeTier*:PickMergeInputs*:MergeDocstores*' \
   --gtest_brief=1
-# The kernel differential suite again with dispatch forced off: the
-# scalar twins parse the same attacker-shaped bytes under ASan too.
-GKS_SIMD=off "$build/tests/common_test" \
-  --gtest_filter='Simd*' --gtest_brief=1
 
 echo "check_asan: OK"

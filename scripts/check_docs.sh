@@ -29,9 +29,9 @@
 #      and tools/, both directions.
 #  12. Relative markdown links in docs/DISTRIBUTED.md must resolve.
 #  13. No test under tests/ builds a path from bare ::testing::TempDir():
-#      ctest -j runs test binaries (and their _scalar twins, which run the
-#      same tests) concurrently, so every file a test writes must live in
-#      the per-process gks::testing::UniqueTempDir() of tests/test_util.h.
+#      ctest -j runs test binaries concurrently, so every file a test
+#      writes must live in the per-process gks::testing::UniqueTempDir()
+#      of tests/test_util.h.
 #
 # Usage: check_docs.sh [repo-root]   (defaults to the script's parent)
 

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/varint.h"
 
 namespace gks {
@@ -111,11 +109,6 @@ Status LzDecompress(std::string_view src, std::string* out) {
   GKS_RETURN_IF_ERROR(GetVarint64(&src, &raw_size));
   const size_t out_base = out->size();
   out->reserve(out_base + raw_size);
-  // Back-reference copies go through the dispatched kernel (bulk vector
-  // copies, pattern doubling for the RLE overlap case) — byte-identical
-  // to the scalar loop on every input.
-  const simd::Kernels& kernels = simd::Active();
-  kernels.lz_calls->Increment();
   while (!src.empty()) {
     uint64_t token = 0;
     GKS_RETURN_IF_ERROR(GetVarint64(&src, &token));
@@ -145,7 +138,14 @@ Status LzDecompress(std::string_view src, std::string* out) {
             "lz output exceeds declared size at byte " +
             std::to_string(offset(src)));
       }
-      kernels.lz_match_copy(out, dist, len);
+      const size_t from = out->size() - dist;
+      if (dist >= len) {
+        out->append(*out, from, len);
+      } else {
+        // Overlapping match (RLE): each byte may read one written by this
+        // same copy, so the bytes go one at a time.
+        for (size_t j = 0; j < len; ++j) out->push_back((*out)[from + j]);
+      }
     }
     if (out->size() - out_base > raw_size) {
       return Status::Corruption(

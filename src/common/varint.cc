@@ -54,7 +54,7 @@ Status GetVarint64(std::string_view* input, uint64_t* value) {
                             " (max 10 bytes)");
 }
 
-Status GetVarint32(std::string_view* input, uint32_t* value) {
+Status GetMultiByteVarint32(std::string_view* input, uint32_t* value) {
   uint64_t wide = 0;
   GKS_RETURN_IF_ERROR(GetVarint64(input, &wide));
   if (wide > UINT32_MAX) {

@@ -17,8 +17,20 @@ void PutVarint64(std::string* dst, uint64_t value);
 
 /// Decodes a varint from the front of `*input`, advancing it past the
 /// consumed bytes. Returns Corruption on truncated or overlong input.
-Status GetVarint32(std::string_view* input, uint32_t* value);
 Status GetVarint64(std::string_view* input, uint64_t* value);
+/// GetVarint32's out-of-line path: every input that does not start with a
+/// one-byte value, including empty (truncated) input.
+Status GetMultiByteVarint32(std::string_view* input, uint32_t* value);
+/// One-byte values, most Dewey components and posting deltas, decode
+/// inline: posting-block decode runs through here once per component.
+inline Status GetVarint32(std::string_view* input, uint32_t* value) {
+  if (!input->empty() && static_cast<uint8_t>(input->front()) < 0x80) {
+    *value = static_cast<uint8_t>(input->front());
+    input->remove_prefix(1);
+    return Status::OK();
+  }
+  return GetMultiByteVarint32(input, value);
+}
 
 /// Length-prefixed string helpers built on the varints above.
 void PutLengthPrefixed(std::string* dst, std::string_view value);

@@ -4,7 +4,6 @@
 #include <array>
 
 #include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "core/lce.h"
 #include "index/posting_blocks.h"
 
@@ -179,6 +178,29 @@ class ProbeList {
 };
 
 }  // namespace
+
+void CountDepthPrefixes(const PackedIds& ids, size_t lo, size_t hi,
+                        DeweySpan path, uint64_t* totals) {
+  const uint32_t depth = path.size;
+  if (depth == 0 || lo >= hi) return;
+  // Histogram of lcp depths (capped at `depth`), then suffix sums: an id
+  // with lcp exactly e lies in the subtree of every prefix of length
+  // d <= e.
+  thread_local std::vector<uint64_t> hist;
+  hist.assign(depth + 1, 0);
+  for (size_t j = lo; j < hi; ++j) {
+    const DeweySpan id = ids.At(j);
+    const uint32_t m = std::min(depth, id.size);
+    uint32_t d = 0;
+    while (d < m && id.data[d] == path.data[d]) ++d;
+    ++hist[d];
+  }
+  uint64_t cum = 0;
+  for (uint32_t d = depth; d >= 1; --d) {
+    cum += hist[d];
+    totals[d] += cum;
+  }
+}
 
 /// One query atom's occurrence list inside the evaluator: either borrowed
 /// from the index (eager/materialized), owned after decoding or phrase/tag
@@ -429,25 +451,20 @@ void ProbeEvaluator::ProcessEndEvent(uint32_t c, DeweySpan p, bool has_prev,
 
   // lcp(start, p) has depth >= d iff start lies in subtree(p[0..d)); the
   // count with depth exactly d is the difference against depth d+1.
-  // Eager-backed lists with small intervals take the dispatched linear
-  // histogram kernel — one pass over the interval covers every depth at
-  // once. The rest keep per-depth subtree-boundary searches, deepest
-  // first, with a per-list stop once a prefix's subtree swallows that
-  // list's whole interval (subtree ranges nest, so every shallower
-  // prefix covers it too).
+  // Eager-backed lists with small intervals take CountDepthPrefixes — one
+  // pass over the interval covers every depth at once. The rest keep
+  // per-depth subtree-boundary searches, deepest first, with a per-list
+  // stop once a prefix's subtree swallows that list's whole interval
+  // (subtree ranges nest, so every shallower prefix covers it too).
   const uint32_t depth = p.size;
   constexpr size_t kDepthScanLinearMax = 256;
-  const simd::Kernels& kernels = simd::Active();
   depth_totals_.assign(depth + 1, 0);
   for (uint32_t i = 0; i < n; ++i) {
     AtomList& al = *lists_[i];
     if (al.size == 0 || hi[i] <= lo[i]) continue;
     const PackedIds* eager = al.owned_active ? &al.owned : al.eager;
     if (eager != nullptr && hi[i] - lo[i] <= kDepthScanLinearMax) {
-      kernels.count_depth_prefixes(eager->raw_components(),
-                                   eager->raw_offsets(), lo[i], hi[i],
-                                   p.data, depth, depth_totals_.data());
-      kernels.depth_calls->Increment();
+      CountDepthPrefixes(*eager, lo[i], hi[i], p, depth_totals_.data());
       continue;
     }
     const uint64_t span = hi[i] - lo[i];

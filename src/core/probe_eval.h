@@ -14,6 +14,16 @@
 
 namespace gks {
 
+/// Per-depth subtree membership counts for the evaluator's window-start
+/// intervals: for every d in [1, path.size], adds to totals[d] the number
+/// of ids j in [lo, hi) of `ids` that lie in the subtree of path[0..d) —
+/// i.e. have at least d components and share the first d with `path`.
+/// Equal to clipping [SubtreeBegin, SubtreeEnd) per depth on a sorted
+/// list, but one linear pass. `totals` has path.size + 1 entries;
+/// totals[0] is untouched.
+void CountDepthPrefixes(const PackedIds& ids, size_t lo, size_t hi,
+                        DeweySpan path, uint64_t* totals);
+
 /// Tuning knobs for the anchor-probe evaluator (filled by the planner).
 struct ProbeOptions {
   /// Non-anchor lists with at most this many postings are materialized
@@ -117,7 +127,7 @@ class ProbeEvaluator {
   size_t anchor_postings_ = 0;
   size_t events_ = 0;
 
-  // Per-event scratch for the depth-count kernel: totals_[d] = interval
+  // Per-event scratch for the depth counts: depth_totals_[d] = interval
   // entries inside subtree(p[0..d)), summed over lists (reused across
   // events to stay allocation-free in the hot loop).
   std::vector<uint64_t> depth_totals_;

@@ -161,20 +161,6 @@ uint32_t NodeInfoTable::IsElement(DeweySpan id) const {
                                                          : 0;
 }
 
-bool NodeInfoTable::LowestEntityAncestor(DeweySpan id, DeweyId* out) const {
-  // Walk prefixes from the node up toward the document root. The minimum
-  // meaningful length is 2 components (document id + root ordinal).
-  for (uint32_t len = id.size; len >= 1; --len) {
-    DeweySpan prefix{id.data, len};
-    const NodeInfo* info = Find(prefix);
-    if (info != nullptr && info->is_entity()) {
-      *out = prefix.ToDeweyId();
-      return true;
-    }
-  }
-  return false;
-}
-
 size_t NodeInfoTable::MemoryUsage() const {
   RequireDecoded();
   size_t bytes = 0;

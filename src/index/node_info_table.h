@@ -85,10 +85,6 @@ class NodeInfoTable {
   /// Paper API: child count if the node is a repeating/connecting node.
   uint32_t IsElement(DeweySpan id) const;
 
-  /// Deepest self-or-ancestor of `id` (within the same document) that is an
-  /// entity node; false if none exists. `out` receives the entity's id.
-  bool LowestEntityAncestor(DeweySpan id, DeweyId* out) const;
-
   size_t size() const {
     RequireDecoded();
     return map_.size();

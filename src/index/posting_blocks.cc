@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/varint.h"
 
 namespace gks {
@@ -224,31 +223,14 @@ Status BlockPostingsView::DecodeBlock(size_t b, PackedIds* out) const {
       payload_begin_[b], payload_begin_[b + 1] - payload_begin_[b]);
   const uint32_t count = counts_[b];
   if (count > 1) {
-    // Dispatched decode kernel (src/common/simd/kernels.h): appends the
-    // delta-coded ids straight into the PackedIds flat storage. Every
-    // tier accepts exactly the byte streams the reference decoder below
-    // accepts, so the success path never diverges.
-    const simd::Kernels& kernels = simd::Active();
     thread_local std::vector<uint32_t> comps;
     comps.assign(first.data, first.data + first.size);
-    const size_t consumed = kernels.decode_delta_ids(
-        reinterpret_cast<const uint8_t*>(payload.data()), payload.size(),
-        count, &comps, out->mutable_raw_components(),
-        out->mutable_raw_offsets());
-    if (consumed != payload.size()) {
-      // Malformed payload (or trailing bytes): re-run the Status-carrying
-      // reference decoder for the exact corruption message. Partial
-      // appends stay in `out`, as they always have — every caller
-      // discards the container on error.
-      std::vector<uint32_t> ref(first.data, first.data + first.size);
-      for (uint32_t i = 1; i < count; ++i) {
-        GKS_RETURN_IF_ERROR(DecodeDeltaId(&payload, &ref));
-      }
-      return Status::Corruption("posting block " + std::to_string(b) +
-                                " has trailing bytes");
+    for (uint32_t i = 1; i < count; ++i) {
+      GKS_RETURN_IF_ERROR(DecodeDeltaId(&payload, &comps));
+      out->Add(DeweySpan{comps.data(), static_cast<uint32_t>(comps.size())});
     }
-    kernels.decode_calls->Increment();
-  } else if (!payload.empty()) {
+  }
+  if (!payload.empty()) {
     return Status::Corruption("posting block " + std::to_string(b) +
                               " has trailing bytes");
   }

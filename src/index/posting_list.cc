@@ -5,8 +5,6 @@
 #include <mutex>
 #include <numeric>
 
-#include "common/metrics.h"
-#include "common/simd/kernels.h"
 #include "common/varint.h"
 #include "index/posting_blocks.h"
 
@@ -50,15 +48,14 @@ void PackedIds::AppendRange(const PackedIds& src, size_t begin, size_t end) {
   components_.insert(components_.end(),
                      src.components_.begin() + src_base,
                      src.components_.begin() + src.offsets_[end]);
-  // Rebase the source offsets in one gather-shift kernel pass:
-  // dst_base + (src.offsets_[i] - src_base), in uint32 wraparound
-  // arithmetic, identical for every dispatch tier.
-  const simd::Kernels& kernels = simd::Active();
+  // Rebase the source offsets: dst_base + (src.offsets_[i] - src_base), in
+  // uint32 wraparound arithmetic.
+  const uint32_t delta = dst_base - src_base;
   const size_t old_size = offsets_.size();
   offsets_.resize(old_size + (end - begin));
-  kernels.shift_u32(src.offsets_.data() + begin + 1, end - begin,
-                    dst_base - src_base, offsets_.data() + old_size);
-  kernels.gather_calls->Increment();
+  for (size_t i = 0; i < end - begin; ++i) {
+    offsets_[old_size + i] = src.offsets_[begin + 1 + i] + delta;
+  }
 }
 
 std::vector<uint32_t> PackedIds::SortPermutation() const {

@@ -119,16 +119,6 @@ class PackedIds {
            offsets_.capacity() * sizeof(uint32_t);
   }
 
-  /// Kernel-layer escape hatch (src/common/simd/kernels.h): direct access
-  /// to the flat storage so the vectorized decode/gather kernels can bulk
-  /// append without per-id calls. Writers must preserve the layout
-  /// invariant: offsets holds size()+1 ascending entries, the last equal
-  /// to components.size().
-  std::vector<uint32_t>* mutable_raw_components() { return &components_; }
-  std::vector<uint32_t>* mutable_raw_offsets() { return &offsets_; }
-  const uint32_t* raw_components() const { return components_.data(); }
-  const uint32_t* raw_offsets() const { return offsets_.data(); }
-
  private:
   std::vector<uint32_t> components_;
   std::vector<uint32_t> offsets_;  // size()+1 entries; [i, i+1) delimits id i

@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/mmap_file.h"
 #include "common/timer.h"
+#include "common/trace.h"
 #include "index/wal.h"
 #include "xml/sax_parser.h"
 
@@ -168,23 +169,41 @@ std::string SerializeIndexV2(const XmlIndex& index) {
   std::string catalog;
   index.catalog.EncodeTo(&catalog);
 
-  std::string nodes_raw;
-  index.nodes.EncodeTo(&nodes_raw);
+  // One span per large section (bytes = section size on disk), so a
+  // traced flush, merge or save shows which section the time goes to.
   std::string nodes;
-  LzCompress(nodes_raw, &nodes);
+  {
+    ScopedSpan span("serialize.nodes");
+    std::string raw;
+    index.nodes.EncodeTo(&raw);
+    LzCompress(raw, &nodes);
+    span.AddBytes(nodes.size());
+  }
 
-  std::string attrs_raw;
-  index.attributes.EncodeTo(&attrs_raw);
   std::string attrs;
-  LzCompress(attrs_raw, &attrs);
+  {
+    ScopedSpan span("serialize.attributes");
+    std::string raw;
+    index.attributes.EncodeTo(&raw);
+    LzCompress(raw, &attrs);
+    span.AddBytes(attrs.size());
+  }
 
   std::string inverted;
-  index.inverted.EncodeToBlocks(&inverted);
+  {
+    ScopedSpan span("serialize.inverted");
+    index.inverted.EncodeToBlocks(&inverted);
+    span.AddBytes(inverted.size());
+  }
 
   // Raw like the inverted section: the varint triples are already dense,
   // and top-k evaluation reads them straight from the mapping.
   std::string rank_bounds;
-  index.inverted.EncodeRankBoundsTo(index.nodes, &rank_bounds);
+  {
+    ScopedSpan span("serialize.rank_bounds");
+    index.inverted.EncodeRankBoundsTo(index.nodes, &rank_bounds);
+    span.AddBytes(rank_bounds.size());
+  }
 
   struct Pending {
     uint32_t id;

@@ -2,11 +2,14 @@
 // construction (incl. phrase intersection), window scanning edge cases,
 // pruning shapes, DI options, and the searcher's option handling.
 
+#include <algorithm>
 #include <bit>
+#include <random>
 
 #include "gtest/gtest.h"
 #include "core/di.h"
 #include "core/merged_list.h"
+#include "core/probe_eval.h"
 #include "core/searcher.h"
 #include "core/window_scan.h"
 #include "data/figures.h"
@@ -199,6 +202,78 @@ TEST(SearcherUnits, SIsClampedToQuerySize) {
   options.s = 99;
   SearchResponse response = SearchOrDie(index, "x y", options);
   EXPECT_EQ(response.effective_s, 2u);
+}
+
+// Sorted, duplicate-free random Dewey ids. `dense` makes long runs that
+// share all but the last component, so lcps with a probe path run deep.
+PackedIds RandomSortedIds(std::mt19937* rng, size_t count, uint32_t max_depth,
+                          uint32_t max_component, bool dense) {
+  std::vector<std::vector<uint32_t>> ids;
+  std::uniform_int_distribution<uint32_t> depth_dist(1, max_depth);
+  std::uniform_int_distribution<uint32_t> comp_dist(0, max_component);
+  if (dense) {
+    std::vector<uint32_t> id(depth_dist(*rng));
+    for (uint32_t& c : id) c = comp_dist(*rng) % 1000;
+    std::uniform_int_distribution<uint32_t> step(1, 120);
+    for (size_t i = 0; i < count; ++i) {
+      id.back() += step(*rng);
+      ids.push_back(id);
+    }
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      std::vector<uint32_t> id(depth_dist(*rng));
+      for (uint32_t& c : id) c = comp_dist(*rng);
+      ids.push_back(std::move(id));
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  }
+  PackedIds packed;
+  for (const std::vector<uint32_t>& id : ids) {
+    packed.Add(DeweySpan{id.data(), static_cast<uint32_t>(id.size())});
+  }
+  return packed;
+}
+
+// The probe evaluator's depth counts: random sorted lists, random probe
+// paths and intervals, diffed against a from-first-principles reference
+// (per-id longest common prefix with the path).
+TEST(ProbeEvalUnits, CountDepthPrefixesMatchesOracle) {
+  std::mt19937 rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    PackedIds ids = RandomSortedIds(&rng, 1 + rng() % 300, 1 + rng() % 10,
+                                    1u << (1 + rng() % 8), trial % 3 == 0);
+    if (ids.empty()) continue;
+    const size_t lo = rng() % ids.size();
+    const size_t hi = lo + rng() % (ids.size() - lo + 1);
+    const uint32_t depth = 1 + rng() % 12;
+    std::vector<uint32_t> path(depth);
+    if (trial % 2 == 0) {
+      // Probe with a real id's components (padded if shorter): hits the
+      // equal-prefix branches.
+      DeweySpan sample = ids.At(rng() % ids.size());
+      for (uint32_t d = 0; d < depth; ++d) {
+        path[d] = d < sample.size ? sample.data[d] : rng() % 4;
+      }
+    } else {
+      for (uint32_t& c : path) c = rng() % 8;
+    }
+
+    std::vector<uint64_t> reference(depth + 1, 0);
+    for (size_t j = lo; j < hi; ++j) {
+      DeweySpan id = ids.At(j);
+      uint32_t lcp = 0;
+      while (lcp < depth && lcp < id.size && id.data[lcp] == path[lcp]) {
+        ++lcp;
+      }
+      for (uint32_t d = 1; d <= lcp; ++d) ++reference[d];
+    }
+
+    std::vector<uint64_t> totals(depth + 1, 0);
+    CountDepthPrefixes(ids, lo, hi, DeweySpan{path.data(), depth},
+                       totals.data());
+    EXPECT_EQ(totals, reference) << "trial " << trial << " depth=" << depth;
+  }
 }
 
 }  // namespace

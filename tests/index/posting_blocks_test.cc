@@ -6,6 +6,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "common/varint.h"
 #include "index/posting_cursor.h"
 #include "index/posting_list.h"
 
@@ -395,6 +396,70 @@ TEST(PostingBlocksTest, CursorSurvivesCorruptPayload) {
     if (!cursor.status().ok()) {
       EXPECT_TRUE(cursor.AtEnd());
     }
+  }
+}
+
+// One hand-built block of a v2 posting blob: skip-table entry plus the raw
+// delta payload, so a test can feed DecodeBlock bytes no encoder writes.
+struct RawBlock {
+  uint32_t count;
+  std::vector<uint32_t> first;
+  std::vector<uint32_t> last;
+  std::string payload;
+};
+
+std::string RawBlob(const std::vector<RawBlock>& blocks) {
+  std::string blob;
+  uint64_t ids = 0;
+  for (const RawBlock& block : blocks) ids += block.count;
+  PutVarint64(&blob, ids);
+  PutVarint64(&blob, blocks.size());
+  for (const RawBlock& block : blocks) {
+    PutVarint32(&blob, block.count);
+    PutVarint32(&blob, static_cast<uint32_t>(block.payload.size()));
+    PutVarint32(&blob, static_cast<uint32_t>(block.first.size()));
+    for (uint32_t c : block.first) PutVarint32(&blob, c);
+    PutVarint32(&blob, 0);  // last id shares nothing with the first
+    PutVarint32(&blob, static_cast<uint32_t>(block.last.size()));
+    for (uint32_t c : block.last) PutVarint32(&blob, c);
+  }
+  for (const RawBlock& block : blocks) blob += block.payload;
+  return blob;
+}
+
+// DecodeBlock's corruption messages name the fault, so they are part of
+// what an operator reads from a failed query or `gks inspect`.
+TEST(PostingBlocksTest, DecodeBlockReportsEachCorruption) {
+  // Payload {0x11, 0x00}: one delta (shared 1, fresh 1), id 1.0 -> 1.1.
+  const std::string one_delta("\x11\x00", 2);
+  struct Case {
+    std::vector<RawBlock> blocks;
+    size_t block;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      // count 3 needs two deltas; the payload holds one.
+      {{{3, {1, 0}, {1, 2}, one_delta}}, 0, "posting block truncated"},
+      // Header 0x10: shared 1, fresh 0 — an id equal to a prefix of its
+      // predecessor, impossible in a sorted duplicate-free list.
+      {{{2, {1, 0}, {1, 1}, std::string("\x10\x00", 2)}},
+       0,
+       "posting block delta header out of range"},
+      // Block 1 decodes its one delta, then finds a byte left over.
+      {{{2, {1, 0}, {1, 1}, one_delta},
+        {2, {2, 0}, {2, 1}, one_delta + '\x07'}},
+       1,
+       "posting block 1 has trailing bytes"},
+  };
+  for (const Case& c : cases) {
+    const std::string blob = RawBlob(c.blocks);
+    std::string_view in = blob;
+    BlockPostingsView view;
+    ASSERT_TRUE(BlockPostingsView::Parse(&in, &view).ok()) << c.message;
+    PackedIds out;
+    Status st = view.DecodeBlock(c.block, &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << c.message;
+    EXPECT_EQ(st.message(), c.message);
   }
 }
 

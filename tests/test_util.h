@@ -21,9 +21,8 @@ namespace gks::testing {
 /// This process's own scratch directory, with a trailing '/': created on
 /// first use under ::testing::TempDir() and removed at exit. Use it for
 /// every file a test writes. `ctest -j` runs test binaries concurrently,
-/// and each `_scalar` twin runs the same tests as its sibling, so a fixed
-/// path under the shared temp root would be rewritten by one process
-/// while another still has it open or mapped.
+/// so a fixed path under the shared temp root would be rewritten by one
+/// process while another still has it open or mapped.
 inline const std::string& UniqueTempDir() {
   struct Dir {
     std::string path;
