@@ -63,7 +63,8 @@ class DiAccumulator {
   /// subtree (at most `max_attrs_per_node` scanned) whose lowest entity
   /// is `node` itself and whose value contains no query term ("if a
   /// keyword in the attribute node is part of the user query Q, it is not
-  /// included in the set").
+  /// included in the set"). That filter is memoized per value, so every
+  /// call on one accumulator must pass the same query.
   void Add(const XmlIndex& index, const GksNode& node, const Query& query,
            const DiOptions& options);
   /// Adds the occurrences a shard shipped for a node of rank `rank`.
@@ -73,14 +74,29 @@ class DiAccumulator {
   /// then path. The path leg makes the order total (distinct keys with
   /// the same weight and value differ in the attribute tag, the path's
   /// last element), so the result does not depend on accumulation order.
+  /// Paths are built only for the keys that can reach the top `top_m`.
   std::vector<DiKeyword> Finish(size_t top_m);
 
  private:
-  using Key = std::pair<std::string_view, std::string_view>;
+  using Key = std::pair<std::string_view, std::string_view>;  // tag, value
   struct KeyHash {
     size_t operator()(const Key& key) const;
   };
-  std::unordered_map<Key, DiKeyword, KeyHash> keywords_;
+  // One accumulated keyword. An index contributor's path is deferred to
+  // Finish: until then the entry keeps where its first occurrence was.
+  struct Entry {
+    double weight = 0.0;
+    uint32_t support = 0;
+    const XmlIndex* index = nullptr;  // null: `path` came from the wire
+    uint32_t attr = 0;                // attribute-directory position
+    uint32_t depth = 0;               // depth of the contributing node
+    std::vector<std::string> path;
+  };
+  std::unordered_map<Key, Entry, KeyHash> keywords_;
+  // Per index, per value id: does the value contain a query term (one
+  // accumulator serves one query). Segments interleave in rank order, so
+  // each index keeps its own memo.
+  std::unordered_map<const XmlIndex*, std::vector<uint8_t>> term_memo_;
 };
 
 /// Discovers the top-m DI keywords (Def. 2.3.1) for a ranked response over

@@ -23,6 +23,14 @@ double ComputePotentialFlowRank(const XmlIndex& index, const MergedList& sl,
     if (depth < min_depth[atom]) min_depth[atom] = depth;
   }
 
+  // Child count of a path node; a missing or childless node divides by 1.
+  auto children = [&index](DeweySpan id) {
+    const NodeInfo* info = index.nodes.Find(id);
+    return static_cast<double>(
+        (info != nullptr && info->child_count > 0) ? info->child_count : 1);
+  };
+  const double node_children = children(node);
+
   double rank = 0.0;
   for (size_t i = begin; i < end; ++i) {
     uint32_t atom = sl.AtomAt(i);
@@ -33,12 +41,9 @@ double ComputePotentialFlowRank(const XmlIndex& index, const MergedList& sl,
     // Divide the potential at each node on the path from the response node
     // down to the terminal's parent; what remains arrives at the terminal.
     double flow = potential;
-    for (uint32_t len = node.size; len < id.size; ++len) {
-      const NodeInfo* info = index.nodes.Find(DeweySpan{id.data, len});
-      uint32_t children = (info != nullptr && info->child_count > 0)
-                              ? info->child_count
-                              : 1;
-      flow /= static_cast<double>(children);
+    if (node.size < id.size) flow /= node_children;
+    for (uint32_t len = node.size + 1; len < id.size; ++len) {
+      flow /= children(DeweySpan{id.data, len});
     }
     rank += flow;
   }

@@ -220,6 +220,7 @@ Result<XmlIndex> IndexBuilder::Finalize(ThreadPool* pool) && {
   }
   index_->inverted.Finalize(pool);
   index_->attributes.Finalize();
+  index_->nodes.RebuildEntityDirectory();
   XmlIndex result = std::move(*index_);
   index_.reset();
   return result;

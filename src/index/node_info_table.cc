@@ -6,6 +6,44 @@
 #include "index/lazy_section.h"
 
 namespace gks {
+namespace {
+
+// Fixed-width big-endian components keep keys compact and unambiguous.
+void EncodeKeyTo(DeweySpan id, char* out) {
+  for (uint32_t i = 0; i < id.size; ++i) {
+    uint32_t c = id.data[i];
+    out[4 * i] = static_cast<char>(c >> 24);
+    out[4 * i + 1] = static_cast<char>(c >> 16);
+    out[4 * i + 2] = static_cast<char>(c >> 8);
+    out[4 * i + 3] = static_cast<char>(c);
+  }
+}
+
+// A lookup key encoded on the stack: ids of 4 or more components miss the
+// small-string buffer, so a std::string key would cost one heap allocation
+// per probe. Only ids deeper than kInline components fall back to the heap.
+class LookupKey {
+ public:
+  explicit LookupKey(DeweySpan id) : size_(id.size * sizeof(uint32_t)) {
+    char* out = inline_;
+    if (id.size > kInline) {
+      heap_.resize(size_);
+      out = heap_.data();
+    }
+    EncodeKeyTo(id, out);
+  }
+  std::string_view view() const {
+    return {heap_.empty() ? inline_ : heap_.data(), size_};
+  }
+
+ private:
+  static constexpr uint32_t kInline = 32;
+  char inline_[kInline * sizeof(uint32_t)];
+  std::string heap_;
+  size_t size_;
+};
+
+}  // namespace
 
 NodeInfoTable::NodeInfoTable() = default;
 NodeInfoTable::~NodeInfoTable() = default;
@@ -36,21 +74,15 @@ Status NodeInfoTable::EnsureDecoded() const {
     self->values_ = std::move(decoded.values_);
     self->value_ids_ = std::move(decoded.value_ids_);
     self->counts_ = decoded.counts_;
+    self->entities_ = std::move(decoded.entities_);
+    self->entity_parent_ = std::move(decoded.entity_parent_);
     return Status::OK();
   });
 }
 
 std::string NodeInfoTable::EncodeKey(DeweySpan id) {
-  // Fixed-width big-endian components keep keys compact and unambiguous.
-  std::string key;
-  key.reserve(id.size * sizeof(uint32_t));
-  for (uint32_t i = 0; i < id.size; ++i) {
-    uint32_t c = id.data[i];
-    key.push_back(static_cast<char>(c >> 24));
-    key.push_back(static_cast<char>(c >> 16));
-    key.push_back(static_cast<char>(c >> 8));
-    key.push_back(static_cast<char>(c));
-  }
+  std::string key(id.size * sizeof(uint32_t), '\0');
+  EncodeKeyTo(id, key.data());
   return key;
 }
 
@@ -68,7 +100,7 @@ void NodeInfoTable::DecodeKey(const std::string& key,
 
 bool NodeInfoTable::AddFlags(DeweySpan id, uint8_t flags) {
   RequireDecoded();
-  auto it = map_.find(EncodeKey(id));
+  auto it = map_.find(LookupKey(id).view());
   if (it == map_.end()) return false;
   NodeInfo& info = it->second;
   uint8_t before = info.flags;
@@ -145,8 +177,63 @@ void NodeInfoTable::Put(DeweySpan id, const NodeInfo& info) {
 
 const NodeInfo* NodeInfoTable::Find(DeweySpan id) const {
   RequireDecoded();
-  auto it = map_.find(EncodeKey(id));
+  auto it = map_.find(LookupKey(id).view());
   return it == map_.end() ? nullptr : &it->second;
+}
+
+void NodeInfoTable::RebuildEntityDirectory() {
+  RequireDecoded();
+  std::vector<const std::string*> keys;
+  keys.reserve(counts_.entity);
+  for (const auto& [key, info] : map_) {
+    if (info.is_entity()) keys.push_back(&key);
+  }
+  // Byte-wise order of the fixed-width big-endian keys IS document order.
+  std::sort(keys.begin(), keys.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  PackedIds entities;
+  std::vector<uint32_t> components;
+  for (const std::string* key : keys) {
+    DecodeKey(*key, &components);
+    entities.Add(DeweySpan{components.data(),
+                           static_cast<uint32_t>(components.size())});
+  }
+  SetEntityDirectory(std::move(entities));
+}
+
+void NodeInfoTable::SetEntityDirectory(PackedIds entities) {
+  entities_ = std::move(entities);
+  entity_parent_.assign(entities_.size(), kNoEntity);
+  // Stack of the open entity subtrees, outermost first.
+  std::vector<uint32_t> open;
+  for (uint32_t i = 0; i < entities_.size(); ++i) {
+    DeweySpan id = entities_.At(i);
+    while (!open.empty() && !entities_.At(open.back()).IsPrefixOf(id)) {
+      open.pop_back();
+    }
+    if (!open.empty()) entity_parent_[i] = open.back();
+    open.push_back(i);
+  }
+}
+
+uint32_t NodeInfoTable::LowestEntity(DeweySpan id) const {
+  RequireDecoded();
+  // Binary search for the first entity after `id` in document order.
+  size_t lo = 0;
+  size_t hi = entities_.size();
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (entities_.At(mid).Compare(id) <= 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  uint32_t entity = lo == 0 ? kNoEntity : static_cast<uint32_t>(lo - 1);
+  while (entity != kNoEntity && !entities_.At(entity).IsPrefixOf(id)) {
+    entity = entity_parent_[entity];
+  }
+  return entity;
 }
 
 uint32_t NodeInfoTable::IsEntity(DeweySpan id) const {
@@ -169,6 +256,8 @@ size_t NodeInfoTable::MemoryUsage() const {
   }
   for (const auto& tag : tags_) bytes += tag.capacity() + sizeof(tag);
   for (const auto& value : values_) bytes += value.capacity() + sizeof(value);
+  bytes += entities_.MemoryUsage() +
+           entity_parent_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 
@@ -235,6 +324,9 @@ Status NodeInfoTable::DecodeFrom(std::string_view* input, NodeInfoTable* out) {
   uint64_t node_count = 0;
   GKS_RETURN_IF_ERROR(GetVarint64(input, &node_count));
   std::vector<uint32_t> previous;
+  // Nodes arrive in document order, so the entity directory fills in this
+  // same pass.
+  PackedIds entities;
   for (uint64_t i = 0; i < node_count; ++i) {
     uint32_t shared = 0;
     uint32_t fresh = 0;
@@ -246,11 +338,18 @@ Status NodeInfoTable::DecodeFrom(std::string_view* input, NodeInfoTable* out) {
     if (fresh > 1u << 20) {
       return Status::Corruption("implausible node key length");
     }
+    // The key must sort after its predecessor: it extends the shared
+    // prefix, and past a diverging component its first fresh one is larger.
+    const bool diverges = shared < previous.size();
+    const uint32_t diverged = diverges ? previous[shared] : 0;
     previous.resize(shared);
     for (uint32_t j = 0; j < fresh; ++j) {
       uint32_t component = 0;
       GKS_RETURN_IF_ERROR(GetVarint32(input, &component));
       previous.push_back(component);
+    }
+    if (i > 0 && (fresh == 0 || (diverges && previous[shared] <= diverged))) {
+      return Status::Corruption("node keys out of document order");
     }
     std::string key = EncodeKey(DeweySpan{
         previous.data(), static_cast<uint32_t>(previous.size())});
@@ -274,8 +373,13 @@ Status NodeInfoTable::DecodeFrom(std::string_view* input, NodeInfoTable* out) {
     if (info.is_repeating()) ++out->counts_.repeating;
     if (info.is_entity()) ++out->counts_.entity;
     if (info.is_connecting()) ++out->counts_.connecting;
+    if (info.is_entity()) {
+      entities.Add(
+          DeweySpan{previous.data(), static_cast<uint32_t>(previous.size())});
+    }
     out->map_.emplace(std::move(key), info);
   }
+  out->SetEntityDirectory(std::move(entities));
   return Status::OK();
 }
 

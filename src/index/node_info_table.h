@@ -24,8 +24,19 @@ struct EncodedSection;  // lazy_section.h
 /// of Dewey id -> NodeInfo (flags + child count + tag + optional attribute
 /// value) and exposes the paper's `isEntity` / `isElement` functions on
 /// top, plus tag/value dictionaries shared with DI discovery.
+///
+/// Beside the map it keeps a derived *entity directory*: every entity node
+/// in document order, each with the directory position of its nearest
+/// entity ancestor. It answers "which entity owns this node" (the LCE
+/// mapping, Sec. 4.2, and DI's owner check, Sec. 6.2) without one map
+/// probe per ancestor level. It is never serialized: DecodeFrom builds it
+/// in its document-order pass, and writers call RebuildEntityDirectory
+/// once their Put / AddFlags calls are done (until then it is stale).
 class NodeInfoTable {
  public:
+  /// Directory position meaning "no entity".
+  static constexpr uint32_t kNoEntity = 0xffffffffu;
+
   NodeInfoTable();
   ~NodeInfoTable();
   NodeInfoTable(NodeInfoTable&&) noexcept;
@@ -110,6 +121,21 @@ class NodeInfoTable {
   /// category tallies consistent.
   bool AddFlags(DeweySpan id, uint8_t flags);
 
+  /// Re-derives the entity directory from the node flags. Call once after
+  /// a batch of Put / AddFlags calls, before the table is queried.
+  void RebuildEntityDirectory();
+
+  /// The entity directory: every entity node's id, in document order.
+  const PackedIds& entities() const {
+    RequireDecoded();
+    return entities_;
+  }
+  /// Directory position of the deepest self-or-ancestor entity of `id`,
+  /// or kNoEntity. The last entity at or before `id` in document order
+  /// lies inside the subtree of that answer, so the walk up its parent
+  /// links meets the answer first.
+  uint32_t LowestEntity(DeweySpan id) const;
+
   /// Category tallies for the Table 5 experiment. A node with both EN and
   /// RN flags counts toward both tallies, mirroring the paper ("its entry
   /// is present in both the hash tables").
@@ -135,6 +161,9 @@ class NodeInfoTable {
   static std::string EncodeKey(DeweySpan id);
   static void DecodeKey(const std::string& key,
                         std::vector<uint32_t>* components);
+  /// Adopts `entities` (already in document order) as the entity directory
+  /// and links each entry to its nearest entity ancestor.
+  void SetEntityDirectory(PackedIds entities);
 
   /// Accessor guard: one pointer test on eager tables, plus one acquire
   /// load once a lazy table has decoded.
@@ -156,6 +185,10 @@ class NodeInfoTable {
                      std::equal_to<>>
       value_ids_;
   CategoryCounts counts_;
+  // Entity directory (see the class comment): ids in document order and,
+  // per entry, the position of its nearest entity ancestor or kNoEntity.
+  PackedIds entities_;
+  std::vector<uint32_t> entity_parent_;
 };
 
 }  // namespace gks

@@ -105,6 +105,7 @@ Result<XmlIndex> BuildIndexParallel(const std::vector<NamedDocument>& documents,
       Status status = MergeDeltaIndex(&out, std::move(*delta).value());
       if (!status.ok()) return status;
     }
+    out.nodes.RebuildEntityDirectory();
   }
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <cstdio>
 #include <utility>
 
 #include "common/json_value.h"
@@ -15,9 +14,9 @@ namespace gks {
 namespace {
 
 std::string ShardFileName(size_t shard) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "shard_%02zu.gksidx", shard);
-  return name;
+  std::string number = std::to_string(shard);
+  if (number.size() < 2) number.insert(0, 2 - number.size(), '0');
+  return "shard_" + number + ".gksidx";
 }
 
 /// Contiguous partition of `sizes` into `shard_count` non-empty runs,

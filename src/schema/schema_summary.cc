@@ -110,6 +110,7 @@ SchemaReconciliation ApplySchemaCategorization(const SchemaSummary& summary,
       if (flags & kFlagAttribute) ++stats.promoted_attributes;
     }
   }
+  if (stats.promoted_entities > 0) index->nodes.RebuildEntityDirectory();
   // Category flags feed ranking and DI: cached responses computed before
   // the reconciliation are stale.
   if (stats.promoted_entities + stats.promoted_attributes > 0) {

@@ -78,17 +78,20 @@ TEST(ExplainJsonTest, CoversAllSixPipelineStages) {
   XmlIndex index = BuildIndexFromXml(data::Figure1Xml());
   SearchResponse response = SearchOrDie(index, "ka kb kc");
   // The span tree must cover every Sec. 4-6 pipeline stage.
-  for (const char* stage : {"merged_list", "window_scan", "lce", "ranking",
-                            "di", "refinement"}) {
+  for (const char* stage : {"merged_list", "window_scan", "lce", "lce.witness",
+                            "lce.map", "ranking", "di", "refinement"}) {
     EXPECT_NE(response.trace.Find(stage), nullptr) << stage;
   }
-  // Text-query overload also records the parse span, and `ranking` nests
-  // under `lce` (the legacy lce_ms covers both).
+  // Text-query overload also records the parse span, and `lce.witness`,
+  // `lce.map` and `ranking` nest under `lce` (the legacy lce_ms covers
+  // them all).
   ASSERT_NE(response.trace.Find("parse"), nullptr);
-  const TraceSpan* ranking = response.trace.Find("ranking");
   const TraceSpan* lce = response.trace.Find("lce");
-  EXPECT_EQ(&response.trace.spans()[static_cast<size_t>(ranking->parent)],
-            lce);
+  for (const char* child : {"lce.witness", "lce.map", "ranking"}) {
+    const TraceSpan* span = response.trace.Find(child);
+    EXPECT_EQ(&response.trace.spans()[static_cast<size_t>(span->parent)], lce)
+        << child;
+  }
 }
 
 TEST(ExplainJsonTest, TimingsBackfilledFromSpans) {

@@ -162,6 +162,86 @@ TEST(DiUnits, MaxAttrsPerNodeCapsScan) {
   EXPECT_LE(di.size(), full.size());
 }
 
+// Finish picks the top m by (weight, value) before it builds paths; keys
+// that tie the m-th on both must still be ordered by path. Checked against
+// a full sort of every key, on keys that tie across the cut.
+TEST(DiUnits, FinishEqualsFullSortAcrossTopMTies) {
+  using Node = std::pair<double, std::vector<DiContribution>>;
+  auto contribution = [](std::string tag, std::string value) {
+    return DiContribution{tag, std::move(value), {"entity", tag}};
+  };
+  auto full_sort = [](const std::vector<Node>& nodes, size_t top_m) {
+    std::vector<DiKeyword> keys;
+    std::vector<std::pair<std::string, std::string>> seen;
+    for (const auto& [rank, contributions] : nodes) {
+      for (const DiContribution& c : contributions) {
+        auto it = std::find(seen.begin(), seen.end(),
+                            std::make_pair(c.tag, c.value));
+        if (it == seen.end()) {
+          seen.emplace_back(c.tag, c.value);
+          keys.push_back({c.value, c.path, 0.0, 0});
+          it = seen.end() - 1;
+        }
+        DiKeyword& di = keys[static_cast<size_t>(it - seen.begin())];
+        di.weight += rank;
+        ++di.support;
+      }
+    }
+    std::sort(keys.begin(), keys.end(),
+              [](const DiKeyword& a, const DiKeyword& b) {
+                if (a.weight != b.weight) return a.weight > b.weight;
+                if (a.value != b.value) return a.value < b.value;
+                return a.path < b.path;
+              });
+    if (keys.size() > top_m) keys.resize(top_m);
+    return keys;
+  };
+  auto finish = [](const std::vector<Node>& nodes, size_t top_m) {
+    DiAccumulator accumulator;
+    for (const auto& [rank, contributions] : nodes) {
+      accumulator.Add(contributions, rank);
+    }
+    return accumulator.Finish(top_m);
+  };
+  auto expect_same = [](const std::vector<DiKeyword>& got,
+                        const std::vector<DiKeyword>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].value, want[i].value) << i;
+      EXPECT_EQ(got[i].path, want[i].path) << i;
+      EXPECT_EQ(got[i].weight, want[i].weight) << i;
+      EXPECT_EQ(got[i].support, want[i].support) << i;
+    }
+  };
+
+  // Three keys tie on (1.0, "y") across the top-2 cut, added in reverse
+  // path order: only the path leg picks <a: y>.
+  std::vector<Node> ties = {
+      {2.0, {contribution("c", "x")}},
+      {1.0, {contribution("c", "y"), contribution("b", "y"),
+             contribution("a", "y")}}};
+  std::vector<DiKeyword> top2 = finish(ties, 2);
+  ASSERT_EQ(top2.size(), 2u);
+  EXPECT_EQ(top2[1].path, (std::vector<std::string>{"entity", "a"}));
+  expect_same(top2, full_sort(ties, 2));
+
+  // Random streams over few ranks, tags and values: ties everywhere.
+  std::mt19937 rng(7);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Node> nodes(1 + rng() % 6);
+    for (Node& node : nodes) {
+      node.first = 0.5 * static_cast<double>(1 + rng() % 3);
+      for (size_t k = rng() % 6; k > 0; --k) {
+        node.second.push_back(contribution("t" + std::to_string(rng() % 4),
+                                           "v" + std::to_string(rng() % 3)));
+      }
+    }
+    for (size_t top_m = 0; top_m <= 13; ++top_m) {
+      expect_same(finish(nodes, top_m), full_sort(nodes, top_m));
+    }
+  }
+}
+
 TEST(SearcherUnits, MaxResultsTruncatesAfterRanking) {
   XmlIndex index = BuildIndexFromXml(data::Figure2aXml());
   SearchOptions all;
